@@ -4,6 +4,15 @@
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
+root="$(pwd)"
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
+# CI must not write bench files into the checkout: bench binaries that
+# write BENCH_*.json run from $tmpdir, and the final gate compares
+# checksums (a new or rewritten file fails it).
+bench_sums() { sha256sum BENCH_*.json; }
+bench_sums > "$tmpdir/bench.sha256"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -87,12 +96,10 @@ for threads in 1 2 8; do
 done
 rm -f /tmp/predict_counts.txt /tmp/predict_counts.t*.txt
 
-echo "==> predictive bench (BENCH_predict.json: extras/confirmed/FP/overhead)"
-./target/release/analysis_scaling --predict > /dev/null
+echo "==> predictive bench (extras/confirmed/FP/overhead, written to a temp dir)"
+(cd "$tmpdir" && "$root/target/release/analysis_scaling" --predict > /dev/null)
 
 echo "==> streaming chunk invariance + thread determinism (all apps)"
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do
     trace="$tmpdir/$app.bin"
     ./target/release/cafa record "$app" --format binary --out "$trace" > /dev/null
@@ -254,5 +261,12 @@ if ! cmp -s "$tmpdir/$app.resumed.json" "tests/golden/reports/$app.json"; then
 fi
 kill "$serve_pid" 2> /dev/null || true
 wait "$serve_pid" 2> /dev/null || true
+
+echo "==> bench files in the checkout unchanged by this run"
+if ! bench_sums | cmp -s - "$tmpdir/bench.sha256"; then
+    echo "FAIL: CI wrote BENCH_*.json files into the checkout" >&2
+    bench_sums | diff "$tmpdir/bench.sha256" - >&2 || true
+    exit 1
+fi
 
 echo "CI green."

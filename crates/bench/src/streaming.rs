@@ -1,15 +1,11 @@
-//! Streaming-ingestion benchmark: decode throughput, per-pass times,
-//! and the incremental-append-vs-full-rebuild comparison.
+//! Streaming-ingestion benchmark: decode throughput and per-pass times.
 //!
 //! Measures, on the largest catalog workload:
 //!
 //! * raw [`StreamDecoder`] throughput for both wire formats;
-//! * end-to-end [`IncrementalSession`] throughput with its per-pass
-//!   wall-time breakdown (`stream-decode`, `hb-ingest`, `hb-derive`);
-//! * the cost of appending the final 10% of the trace's tasks to a
-//!   warm [`IncrementalHb`] (ingest + seal + fixpoint extension +
-//!   model assembly) against rebuilding the happens-before model from
-//!   scratch — the case streaming ingestion exists for.
+//! * end-to-end [`IncrementalSession`] time with its per-pass
+//!   wall-time breakdown: `stream-decode` while pushing, then the batch
+//!   analysis passes `finish` runs.
 //!
 //! Alongside the text output, [`main`] writes the measurements to
 //! `BENCH_streaming.json` in the current directory.
@@ -17,13 +13,8 @@
 use std::time::{Duration, Instant};
 
 use cafa_apps::{all_apps, AppSpec};
-use cafa_hb::{CausalityConfig, HbModel, IncrementalHb};
 use cafa_stream::{IncrementalSession, StreamOptions};
-use cafa_trace::{to_binary_vec, to_text_string, StreamDecoder, Trace};
-
-/// Fraction of tasks treated as the already-ingested warm prefix in
-/// the append benchmark.
-const PREFIX_FRACTION: f64 = 0.9;
+use cafa_trace::{to_binary_vec, to_text_string, StreamDecoder};
 
 /// Timing iterations; the minimum is reported.
 const ITERS: usize = 3;
@@ -44,42 +35,6 @@ impl DecodeMeasurement {
     }
 }
 
-/// The incremental-append-vs-rebuild measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendMeasurement {
-    /// Tasks in the trace.
-    pub tasks_total: usize,
-    /// Tasks appended on top of the warm prefix.
-    pub tasks_appended: usize,
-    /// Best-of-[`ITERS`] wall time for a full batch model build
-    /// (graph + fixpoint + query-model assembly).
-    pub full_rebuild: Duration,
-    /// Best-of-[`ITERS`] wall time to append the suffix to a warm
-    /// incremental state and finalize the model. Includes the same
-    /// query-model assembly as the rebuild — that part is not
-    /// incremental.
-    pub incremental_append: Duration,
-    /// Best-of-[`ITERS`] wall time for the batch base graph +
-    /// fixpoint alone (no model assembly).
-    pub full_fixpoint: Duration,
-    /// Best-of-[`ITERS`] wall time to ingest the suffix and extend
-    /// the warm fixpoint alone (no model assembly).
-    pub incremental_fixpoint: Duration,
-}
-
-impl AppendMeasurement {
-    /// How many times cheaper the full append is than the rebuild.
-    pub fn speedup(&self) -> f64 {
-        self.full_rebuild.as_secs_f64() / self.incremental_append.as_secs_f64().max(1e-9)
-    }
-
-    /// How many times cheaper the fixpoint extension is than a cold
-    /// graph + fixpoint.
-    pub fn fixpoint_speedup(&self) -> f64 {
-        self.full_fixpoint.as_secs_f64() / self.incremental_fixpoint.as_secs_f64().max(1e-9)
-    }
-}
-
 /// Decodes `bytes` through the chunked stream decoder, timed.
 fn time_decode(bytes: &[u8], chunk: usize) -> Duration {
     let mut best = Duration::MAX;
@@ -95,80 +50,6 @@ fn time_decode(bytes: &[u8], chunk: usize) -> Duration {
         best = best.min(wall);
     }
     best
-}
-
-/// Builds the warm 90% prefix state (untimed), then times appending
-/// the final tasks and finalizing, against a batch rebuild.
-fn measure_append(trace: &Trace, config: CausalityConfig) -> AppendMeasurement {
-    let tasks: Vec<_> = trace.tasks().map(|t| t.id).collect();
-    let split = ((tasks.len() as f64) * PREFIX_FRACTION) as usize;
-    let split = split.clamp(1, tasks.len().saturating_sub(1));
-
-    let mut full_rebuild = Duration::MAX;
-    for _ in 0..ITERS {
-        let start = Instant::now();
-        let model = HbModel::build(trace, config).expect("batch build");
-        let wall = start.elapsed();
-        assert!(!model.events().is_empty());
-        full_rebuild = full_rebuild.min(wall);
-    }
-
-    let mut incremental_append = Duration::MAX;
-    for _ in 0..ITERS {
-        // Warm prefix: everything before the split, derived — the
-        // state a long-running ingester holds. Built outside the
-        // timed region.
-        let mut inc = IncrementalHb::new(trace, config).expect("valid trace");
-        for &t in &tasks[..split] {
-            inc.seal(trace, t);
-        }
-        inc.derive_now().expect("prefix derivation converges");
-
-        let start = Instant::now();
-        for &t in &tasks[split..] {
-            inc.seal(trace, t);
-        }
-        let model = inc.into_model(trace).expect("finalization converges");
-        let wall = start.elapsed();
-        assert!(!model.events().is_empty());
-        incremental_append = incremental_append.min(wall);
-    }
-
-    let mut full_fixpoint = Duration::MAX;
-    for _ in 0..ITERS {
-        let start = Instant::now();
-        let mut g = cafa_hb::base_graph(trace, &config);
-        let stats = cafa_hb::derive(&mut g, trace, &config).expect("batch derivation");
-        let wall = start.elapsed();
-        assert!(stats.rounds >= 1);
-        full_fixpoint = full_fixpoint.min(wall);
-    }
-
-    let mut incremental_fixpoint = Duration::MAX;
-    for _ in 0..ITERS {
-        let mut inc = IncrementalHb::new(trace, config).expect("valid trace");
-        for &t in &tasks[..split] {
-            inc.seal(trace, t);
-        }
-        inc.derive_now().expect("prefix derivation converges");
-
-        let start = Instant::now();
-        for &t in &tasks[split..] {
-            inc.seal(trace, t);
-        }
-        inc.derive_now().expect("suffix derivation converges");
-        let wall = start.elapsed();
-        incremental_fixpoint = incremental_fixpoint.min(wall);
-    }
-
-    AppendMeasurement {
-        tasks_total: tasks.len(),
-        tasks_appended: tasks.len() - split,
-        full_rebuild,
-        incremental_append,
-        full_fixpoint,
-        incremental_fixpoint,
-    }
 }
 
 /// Picks the catalog app with the most events — the heaviest trace.
@@ -217,38 +98,18 @@ pub fn main() {
     let streamed = session.finish().expect("valid trace");
     let e2e = e2e_start.elapsed();
     println!(
-        "end-to-end streaming analysis: {:.3}s ({} races, {} derives)",
+        "end-to-end streaming analysis: {:.3}s ({} races)",
         e2e.as_secs_f64(),
         streamed.report.races.len(),
-        streamed.progress.derives
     );
+    let mut passes = streamed.passes;
+    passes
+        .records
+        .extend_from_slice(&streamed.report.stats.passes.records);
     println!("streaming passes:");
-    print!("{}", streamed.passes.render());
+    print!("{}", passes.render());
 
-    let append = measure_append(&trace, CausalityConfig::cafa());
-    println!(
-        "incremental append of final {} of {} tasks: {:.4}s vs full rebuild {:.4}s — {:.1}x",
-        append.tasks_appended,
-        append.tasks_total,
-        append.incremental_append.as_secs_f64(),
-        append.full_rebuild.as_secs_f64(),
-        append.speedup()
-    );
-    println!(
-        "fixpoint only: extension {:.4}s vs cold graph+fixpoint {:.4}s — {:.1}x",
-        append.incremental_fixpoint.as_secs_f64(),
-        append.full_fixpoint.as_secs_f64(),
-        append.fixpoint_speedup()
-    );
-
-    let json = render_json(
-        &app.name,
-        &bin_decode,
-        &text_decode,
-        e2e,
-        &streamed.passes,
-        &append,
-    );
+    let json = render_json(&app.name, &bin_decode, &text_decode, e2e, &passes);
     std::fs::write("BENCH_streaming.json", json).expect("write BENCH_streaming.json");
     println!("wrote BENCH_streaming.json");
 }
@@ -260,7 +121,6 @@ fn render_json(
     text: &DecodeMeasurement,
     e2e: Duration,
     passes: &cafa_engine::PassStats,
-    append: &AppendMeasurement,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -298,37 +158,7 @@ fn render_json(
             r.items
         );
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"incremental_append\": {{");
-    let _ = writeln!(out, "    \"tasks_total\": {},", append.tasks_total);
-    let _ = writeln!(out, "    \"tasks_appended\": {},", append.tasks_appended);
-    let _ = writeln!(
-        out,
-        "    \"full_rebuild_seconds\": {:.6},",
-        append.full_rebuild.as_secs_f64()
-    );
-    let _ = writeln!(
-        out,
-        "    \"incremental_append_seconds\": {:.6},",
-        append.incremental_append.as_secs_f64()
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.2},", append.speedup());
-    let _ = writeln!(
-        out,
-        "    \"full_fixpoint_seconds\": {:.6},",
-        append.full_fixpoint.as_secs_f64()
-    );
-    let _ = writeln!(
-        out,
-        "    \"incremental_fixpoint_seconds\": {:.6},",
-        append.incremental_fixpoint.as_secs_f64()
-    );
-    let _ = writeln!(
-        out,
-        "    \"fixpoint_speedup\": {:.2}",
-        append.fixpoint_speedup()
-    );
-    out.push_str("  }\n");
+    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }

@@ -5,7 +5,7 @@
 //! cafa gen [opts]                    generate a labeled app corpus
 //! cafa record <app> [opts]           simulate an app and write its trace
 //! cafa analyze <trace> [opts]        detect use-free races in a trace
-//! cafa analyze --follow <trace>      tail a growing trace, analyze online
+//! cafa analyze --follow <trace>      tail a growing trace, analyze it once complete
 //! cafa validate [app] [opts]         confirm reported races by replay
 //! cafa serve [opts]                  stream a trace from stdin or serve a fleet
 //! cafa push <trace> [opts]           send a trace to a running serve instance
@@ -95,10 +95,10 @@ USAGE:
         sub-traces analyzed concurrently, off forces the monolithic
         path, force partitions any multi-island trace — all three
         produce byte-identical reports. --follow tails a growing
-        trace file, analyzing incrementally as records arrive
-        (polling every --poll-ms, default 50) until the trace's end
-        marker; the report is identical to a batch analyze of the
-        completed file.
+        trace file, decoding records as they arrive (polling every
+        --poll-ms, default 50) until the trace's end marker, then
+        analyzes it exactly like a batch analyze of the completed
+        file (same report, same --timings breakdown).
 
     cafa validate [app] [--budget N] [--directed N] [--guided N]
                   [--minimize] [--threads N] [--format text|json|counts]
@@ -116,19 +116,17 @@ USAGE:
         --format counts prints the one-line-per-app summary the CI
         golden file pins.
 
-    cafa serve [--model M] [--chunk N] [--hwm BYTES] [--live]
+    cafa serve [--model M] [--chunk N] [--live]
                [--threads N] [--listen ADDR] [--admin ADDR]
                [--state-dir DIR] [--memory-budget SIZE]
-        Without --listen: stream one trace from stdin and analyze it
-        incrementally, printing the JSON report at end of stream —
+        Without --listen: stream one trace from stdin, decoding it as
+        it arrives, and print the JSON report at end of stream —
         byte-identical to `cafa analyze --json` of the same trace,
-        for any chunking. --chunk caps bytes ingested per read; --hwm
-        bounds the staged (un-derived) analysis backlog in bytes,
-        pausing the reader while it flushes (records are never
-        dropped); --live (stdin only) also emits one provisional JSON
-        line per use-free candidate as soon as both endpoint tasks
-        close (concurrency evidence only — a later suffix can still
-        order or filter the pair; the final report is the authority).
+        for any chunking. --chunk caps bytes ingested per read;
+        --live (stdin only) also emits one provisional JSON line per
+        use-free candidate as soon as both endpoint tasks close
+        (concurrency evidence only — a later suffix can still order
+        or filter the pair; the final report is the authority).
 
         With --listen host:port: run the multi-tenant fleet ingest
         server. Connections keep being accepted until the process is
@@ -594,17 +592,16 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     config.partition = partition;
     config.detector = detector;
 
-    if follow {
+    let trace = if follow {
         if detector.runs_predictive() {
             return Err(format!(
-                "--follow only supports the hb backend (got --detector {detector}): \
-                 the incremental engine derives the observed-trace relation only"
+                "--follow only supports the hb backend (got --detector {detector})"
             ));
         }
-        return analyze_follow(path, config, json, verbose, timings, poll_ms);
-    }
-
-    let trace = load_trace(path)?;
+        follow_trace(path, poll_ms)?
+    } else {
+        load_trace(path)?
+    };
     let session = AnalysisSession::new(&trace);
     let mut report = Analyzer::with_config(config)
         .analyze_with(&session)
@@ -616,33 +613,50 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     print_text_report(&report, &trace, verbose);
     adjudicate_predictive(&mut report, &trace)?;
     if timings {
-        println!("pass timings:");
-        print!("{}", report.stats.passes.render());
-        if let Some(p) = report.stats.partition {
-            println!(
-                "  partition: {} island(s) in {} batch(es), largest island {} record(s)",
-                p.islands, p.batches, p.largest_island_records
-            );
-        }
-        print_fixpoint_stats(&report.stats.derivation);
-        // Only read cached models: after a partitioned run the session
-        // holds no monolithic model, and building one here just to
-        // print its counters would redo the whole derivation.
-        let demand = session
-            .has_model(config.causality)
-            .then(|| session.model(config.causality).ok())
-            .flatten()
-            .and_then(|m| m.demand_stats());
-        if let Some(d) = demand {
-            print_demand_stats(&d);
-        }
-        let s = session.stats();
-        println!(
-            "session: {} ops extraction(s), {} model build(s), {} cache hit(s)",
-            s.ops_extractions, s.model_builds, s.model_cache_hits
-        );
+        print_timings(&report, &session, config.causality);
     }
     Ok(())
+}
+
+/// The `--timings` breakdown of one analysis: the pass table, the
+/// partition line when islands were used, the fixpoint counters when
+/// an eager derivation ran, the demand counters of a cached model, and
+/// the session's reuse counters. Shared by batch
+/// `analyze` and `analyze --follow`, which run the same pipeline.
+fn print_timings(
+    report: &cafa_core::RaceReport,
+    session: &AnalysisSession<'_>,
+    causality: CausalityConfig,
+) {
+    println!("pass timings:");
+    print!("{}", report.stats.passes.render());
+    if let Some(p) = report.stats.partition {
+        println!(
+            "  partition: {} island(s) in {} batch(es), largest island {} record(s)",
+            p.islands, p.batches, p.largest_island_records
+        );
+    }
+    // Islands answer through the demand engine, so only a monolithic
+    // eager derivation has fixpoint counters to show.
+    if report.stats.derivation.rounds > 0 {
+        print_fixpoint_stats(&report.stats.derivation);
+    }
+    // Only read cached models: after a partitioned run the session
+    // holds no monolithic model, and building one here just to
+    // print its counters would redo the whole derivation.
+    let demand = session
+        .has_model(causality)
+        .then(|| session.model(causality).ok())
+        .flatten()
+        .and_then(|m| m.demand_stats());
+    if let Some(d) = demand {
+        print_demand_stats(&d);
+    }
+    let s = session.stats();
+    println!(
+        "session: {} ops extraction(s), {} model build(s), {} cache hit(s)",
+        s.ops_extractions, s.model_builds, s.model_cache_hits
+    );
 }
 
 /// Fixpoint-engine counters printed under `--timings`: how many rounds
@@ -793,25 +807,15 @@ fn adjudicate_predictive(report: &mut cafa_core::RaceReport, trace: &Trace) -> R
     Ok(())
 }
 
-/// `cafa analyze --follow`: tail a growing trace file, ingesting and
-/// analyzing incrementally until its end marker arrives.
-fn analyze_follow(
-    path: &str,
-    config: DetectorConfig,
-    json: bool,
-    verbose: bool,
-    timings: bool,
-    poll_ms: u64,
-) -> Result<(), String> {
+/// `cafa analyze --follow`: tails a growing trace file, decoding
+/// records as they arrive, until the trace's end marker. The completed
+/// trace then goes through the same analysis as a batch `analyze`.
+fn follow_trace(path: &str, poll_ms: u64) -> Result<Trace, String> {
     use std::io::Read;
     let mut file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let opts = StreamOptions {
-        detector: config,
-        ..StreamOptions::default()
-    };
-    let mut session = IncrementalSession::new(opts);
+    let mut decoder = cafa_trace::StreamDecoder::new();
     let mut buf = vec![0u8; 64 << 10];
-    while !session.is_complete() {
+    while !decoder.is_complete() {
         let n = file
             .read(&mut buf)
             .map_err(|e| format!("reading {path}: {e}"))?;
@@ -821,38 +825,11 @@ fn analyze_follow(
             std::thread::sleep(std::time::Duration::from_millis(poll_ms));
             continue;
         }
-        session
+        decoder
             .push(&buf[..n])
-            .map_err(|e| format!("analyzing {path}: {e}"))?;
+            .map_err(|e| format!("reading {path}: {e}"))?;
     }
-    let demand = session.demand_stats();
-    let outcome = session
-        .finish()
-        .map_err(|e| format!("analyzing {path}: {e}"))?;
-    if json {
-        print!(
-            "{}",
-            cafa_core::json::render_json(&outcome.report, &outcome.trace)
-        );
-        return Ok(());
-    }
-    print_text_report(&outcome.report, &outcome.trace, verbose);
-    if timings {
-        println!("pass timings:");
-        print!("{}", outcome.report.stats.passes.render());
-        print_fixpoint_stats(&outcome.report.stats.derivation);
-        if let Some(d) = demand {
-            print_demand_stats(&d);
-        }
-        println!("streaming passes:");
-        print!("{}", outcome.passes.render());
-        let p = outcome.progress;
-        println!(
-            "stream: {} byte(s) in {} chunk(s), {} record(s), {} task(s) sealed, {} derive(s), {} backpressure flush(es)",
-            p.bytes, p.chunks, p.records, p.tasks_sealed, p.derives, p.backpressure_flushes
-        );
-    }
-    Ok(())
+    decoder.finish().map_err(|e| format!("reading {path}: {e}"))
 }
 
 fn cmd_validate(rest: &[String]) -> Result<(), String> {
@@ -991,9 +968,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(64 << 10)
         .max(1);
-    let hwm = opt_value(&mut args, "--hwm")?
-        .map(|s| s.parse::<usize>().map_err(|_| format!("bad hwm `{s}`")))
-        .transpose()?;
     let live = opt_flag(&mut args, "--live");
     let threads = parse_threads(&mut args)?;
     let listen = opt_value(&mut args, "--listen")?;
@@ -1015,9 +989,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     };
     opts.detector.causality = parse_model(&model)?;
     opts.detector.threads = threads;
-    if let Some(hwm) = hwm {
-        opts.high_water = hwm;
-    }
 
     if let Some(addr) = listen {
         // TCP mode: the multi-tenant ingest server. Each connection

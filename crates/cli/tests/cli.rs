@@ -214,7 +214,7 @@ fn serve_stdin_matches_batch_analysis() {
 
     // Live mode prefixes provisional lines but the authoritative
     // report at the end is unchanged.
-    let live = serve_stdin(&["--chunk", "4096", "--live", "--hwm", "1024"], &bytes);
+    let live = serve_stdin(&["--chunk", "4096", "--live"], &bytes);
     assert!(live.contains("\"provisional\": true"), "{live}");
     assert!(
         live.ends_with(&expected),
@@ -259,6 +259,54 @@ fn analyze_follow_and_format_json_match_batch() {
         String::from_utf8_lossy(&follow.stderr)
     );
     assert_eq!(stdout(&follow), expected);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The `--timings` block with wall times and percentages dropped, so
+/// two runs of the same analysis compare equal.
+fn timings_shape(text: &str) -> Vec<String> {
+    text.lines()
+        .skip_while(|l| *l != "pass timings:")
+        .map(|l| {
+            l.split_whitespace()
+                .filter(|t| {
+                    let timed = t.starts_with(|c: char| c.is_ascii_digit()) && t.ends_with('s');
+                    !timed && !t.ends_with('%')
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+#[test]
+fn analyze_follow_timings_print_the_batch_breakdown() {
+    let path = tmp("follow-timings.bin");
+    assert!(cafa(&[
+        "record",
+        "connectbot",
+        "--format",
+        "binary",
+        "--out",
+        path.to_str().unwrap()
+    ])
+    .status
+    .success());
+    let batch = cafa(&["analyze", path.to_str().unwrap(), "--timings"]);
+    let follow = cafa(&["analyze", path.to_str().unwrap(), "--follow", "--timings"]);
+    assert!(batch.status.success() && follow.status.success());
+    let (batch, follow) = (stdout(&batch), stdout(&follow));
+
+    // One printer, one pipeline: the same rows, items and counters.
+    let shape = timings_shape(&follow);
+    assert_eq!(shape, timings_shape(&batch));
+    assert!(
+        shape.iter().any(|l| l.starts_with("partition: ")),
+        "{follow}"
+    );
+    assert!(shape.iter().any(|l| l.starts_with("session: ")), "{follow}");
+    assert!(!follow.contains("derive(s)"), "{follow}");
+    assert!(!follow.contains("backpressure"), "{follow}");
     std::fs::remove_file(&path).ok();
 }
 

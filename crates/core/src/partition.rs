@@ -56,9 +56,10 @@ use crate::report::{DetectStats, RaceReport};
 pub enum PartitionMode {
     /// Partition when it pays: more than one island, at least
     /// [`AUTO_MIN_RECORDS`] records, and no happens-before model for
-    /// the configuration already cached on the session (a cached model
-    /// — e.g. one grown by a streaming session — makes the monolithic
-    /// path cheaper than re-deriving per island).
+    /// the configuration already cached on the session (a caller that
+    /// shares one session across analyses has already paid for the
+    /// monolithic fixpoint, so reusing it beats re-deriving per
+    /// island).
     #[default]
     Auto,
     /// Always analyze monolithically.

@@ -134,19 +134,6 @@ impl<'t> AnalysisSession<'t> {
         Ok(model)
     }
 
-    /// Seeds the cache with an externally built model (e.g. one grown
-    /// incrementally by a streaming session), so later
-    /// [`model`](AnalysisSession::model) calls for its configuration
-    /// reuse it instead of rebuilding the fixpoint. Counted as a model
-    /// build. Replaces any model already cached for that configuration.
-    pub fn insert_model(&self, model: HbModel<'t>) {
-        let config = *model.config();
-        let mut stats = self.stats.get();
-        stats.model_builds += 1;
-        self.stats.set(stats);
-        self.models.borrow_mut().insert(config, Rc::new(model));
-    }
-
     /// The causality-skeleton partition of the trace, computed on
     /// first call and cached for the session's lifetime. The skeleton
     /// is config-independent, so one partition serves every
@@ -213,20 +200,6 @@ mod tests {
         assert_eq!(stats.model_cache_hits, 1);
         assert!(session.has_model(CausalityConfig::cafa()));
         assert!(!session.has_model(CausalityConfig::fasttrack_like()));
-    }
-
-    #[test]
-    fn inserted_model_is_served_from_cache() {
-        let trace = small_trace();
-        let session = AnalysisSession::new(&trace);
-        let model = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
-        session.insert_model(model);
-        assert!(session.has_model(CausalityConfig::cafa()));
-        let got = session.model(CausalityConfig::cafa()).unwrap();
-        assert_eq!(got.events().len(), 0);
-        let stats = session.stats();
-        assert_eq!(stats.model_builds, 1, "insert counts as the build");
-        assert_eq!(stats.model_cache_hits, 1);
     }
 
     #[test]

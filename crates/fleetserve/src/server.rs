@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::Duration;
 
 use cafa_engine::fleet::shard_of;
@@ -112,7 +112,9 @@ enum Job {
     Barrier { reply: mpsc::Sender<Reply> },
 }
 
-/// A worker's answer, delivered to the connection that sent the job.
+/// Everything a connection writes to its peer, in order: worker
+/// answers to the jobs it sent, plus frames and control messages from
+/// its own reader. One writer thread per connection drains these.
 enum Reply {
     /// Durable offset (handshake reply or OFFSET query).
     Offset { session: String, durable: u64 },
@@ -124,6 +126,11 @@ enum Reply {
     Detached { durable: u64 },
     /// Barrier ack.
     Flushed,
+    /// An already-encoded frame from the connection's reader.
+    Frame(Vec<u8>),
+    /// The reader is done: write what is queued, wait for `barriers`
+    /// more barrier acks, then stop.
+    Close { barriers: usize },
 }
 
 /// Per-session state owned by one shard worker.
@@ -347,8 +354,11 @@ fn admin_loop(listener: &TcpListener, registry: &Registry, stop: &AtomicBool) {
     }
 }
 
-/// One connection, handshake to close. Parses protocol items, routes
-/// jobs to shard workers, and writes replies back to the peer.
+/// One connection, handshake to close. The calling thread parses
+/// protocol items and routes jobs to shard workers; a writer thread on
+/// a clone of the socket writes every reply the moment it arrives, so
+/// a client that keeps its write side open never waits on the read
+/// timeout for its report.
 fn handle_conn(
     mut conn: TcpStream,
     peer: &str,
@@ -358,270 +368,279 @@ fn handle_conn(
     anon: &AtomicU64,
     stop: &AtomicBool,
 ) -> Result<(), ServeError> {
+    let io = |source| ServeError::Io {
+        peer: peer.to_owned(),
+        source,
+    };
     conn.set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|source| ServeError::Io {
-            peer: peer.to_owned(),
-            source,
-        })?;
+        .map_err(io)?;
     // Replies interleave with ingest on the same socket; Nagle would
     // stall each small frame behind the peer's delayed ACK.
     let _ = conn.set_nodelay(true);
-    let shards = txs.len();
+    let writer = conn.try_clone().map_err(io)?;
     let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-    let mut reader = ProtoReader::new();
-    let mut buf = vec![0u8; config.read_chunk];
-    let mut items: Vec<ProtoItem> = Vec::new();
+    let (mode, done) = (&OnceLock::new(), &AtomicBool::new(false));
     // Sessions this connection holds the attach guard for.
     let mut attached: Vec<String> = Vec::new();
-    // Shards this connection has sent jobs to (barrier targets).
-    let mut used = vec![false; shards];
-    let mut mode: Option<Mode> = None;
-    let mut anon_id: Option<String> = None;
-    let mut eof = false;
+    let (read, written) = std::thread::scope(|scope| {
+        let written = scope.spawn(move || write_replies(writer, peer, mode, &reply_rx, stop, done));
+        let shards = txs.len();
+        let mut reader = ProtoReader::new();
+        let mut buf = vec![0u8; config.read_chunk];
+        let mut items: Vec<ProtoItem> = Vec::new();
+        // Shards this connection has sent jobs to (barrier targets).
+        let mut used = vec![false; shards];
+        let mut anon_id: Option<String> = None;
 
-    let result = (|| -> Result<(), ServeError> {
-        'conn: loop {
-            // Deliver pending worker replies first.
-            while let Ok(reply) = reply_rx.try_recv() {
-                if write_reply(&mut conn, peer, mode, reply)? {
-                    break 'conn; // terminal in stream/raw mode
+        // `Ok(true)`: the writer's stop is already arranged (a terminal
+        // answer or a close is queued).
+        let result = (|| -> Result<bool, ServeError> {
+            loop {
+                if done.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
+                    return Ok(false);
                 }
-            }
-            if eof {
-                break;
-            }
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            match conn.read(&mut buf) {
-                Ok(0) => {
-                    reader.eof(&mut items);
-                    eof = true;
-                }
-                Ok(n) => {
-                    items.clear();
-                    reader
-                        .feed(&buf[..n], &mut items)
-                        .map_err(|source| ServeError::Proto {
-                            peer: peer.to_owned(),
-                            source,
-                        })?;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(source) => {
-                    return Err(ServeError::Io {
-                        peer: peer.to_owned(),
-                        source,
-                    })
-                }
-            }
-
-            for item in items.drain(..) {
-                match item {
-                    ProtoItem::Hello { mode: m, session } => {
-                        mode = Some(m);
-                        if m == Mode::Stream {
-                            let shard = shard_of(&session, shards);
-                            if let Err(e) = registry.attach(&session, shard) {
-                                // Tell the client why before closing —
-                                // an ERROR frame instead of the CAFO
-                                // handshake reply.
-                                let _ =
-                                    conn.write_all(&encode_error_frame(&session, &e.to_string()));
-                                return Err(e);
-                            }
-                            attached.push(session.clone());
-                            used[shard] = true;
-                            send_job(
-                                &txs[shard],
-                                Job::Attach {
-                                    session,
-                                    reply: reply_tx.clone(),
-                                },
-                            );
-                            // Await the durable offset and complete
-                            // the handshake before reading payload.
-                            let durable = loop {
-                                match reply_rx.recv_timeout(Duration::from_millis(50)) {
-                                    Ok(Reply::Offset { durable, .. }) => break durable,
-                                    Ok(other) => {
-                                        if write_reply(&mut conn, peer, mode, other)? {
-                                            break 'conn;
-                                        }
-                                    }
-                                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                                        if stop.load(Ordering::Relaxed) {
-                                            break 'conn;
-                                        }
-                                    }
-                                    Err(mpsc::RecvTimeoutError::Disconnected) => break 'conn,
-                                }
-                            };
-                            conn.write_all(&encode_offset_reply(durable))
-                                .map_err(|source| ServeError::Io {
-                                    peer: peer.to_owned(),
-                                    source,
-                                })?;
-                        }
+                let eof = match conn.read(&mut buf) {
+                    Ok(0) => {
+                        reader.eof(&mut items);
+                        true
                     }
-                    ProtoItem::Raw(bytes) => {
-                        let session = match &anon_id {
-                            Some(id) => id.clone(),
-                            None => {
-                                let id =
-                                    format!("anon-{}", anon.fetch_add(1, Ordering::Relaxed) + 1);
-                                let shard = shard_of(&id, shards);
-                                registry.attach(&id, shard)?;
-                                attached.push(id.clone());
-                                anon_id = Some(id.clone());
-                                id
-                            }
-                        };
-                        let shard = shard_of(&session, shards);
-                        used[shard] = true;
-                        send_job(
-                            &txs[shard],
-                            Job::Data {
-                                session,
-                                bytes,
-                                reply: reply_tx.clone(),
-                            },
-                        );
-                    }
-                    ProtoItem::Data { session, bytes } => {
-                        let shard = shard_of(&session, shards);
-                        if !attached.contains(&session) {
-                            match registry.attach(&session, shard) {
-                                Ok(()) => attached.push(session.clone()),
-                                Err(e) => {
-                                    // Scoped rejection: this session is
-                                    // busy; the connection (and its
-                                    // other sessions) continue.
-                                    conn.write_all(&encode_error_frame(&session, &e.to_string()))
-                                        .map_err(|source| ServeError::Io {
-                                            peer: peer.to_owned(),
-                                            source,
-                                        })?;
-                                    continue;
-                                }
-                            }
-                        }
-                        used[shard] = true;
-                        send_job(
-                            &txs[shard],
-                            Job::Data {
-                                session,
-                                bytes,
-                                reply: reply_tx.clone(),
-                            },
-                        );
-                    }
-                    ProtoItem::StatsRequest => {
-                        conn.write_all(&encode_stats_reply(registry.render_json().as_bytes()))
-                            .map_err(|source| ServeError::Io {
+                    Ok(n) => {
+                        items.clear();
+                        reader
+                            .feed(&buf[..n], &mut items)
+                            .map_err(|source| ServeError::Proto {
                                 peer: peer.to_owned(),
                                 source,
                             })?;
+                        false
                     }
-                    ProtoItem::OffsetRequest { session } => {
-                        let shard = shard_of(&session, shards);
-                        used[shard] = true;
-                        send_job(
-                            &txs[shard],
-                            Job::Offset {
-                                session,
-                                reply: reply_tx.clone(),
-                            },
-                        );
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        continue;
                     }
+                    Err(source) => {
+                        return Err(ServeError::Io {
+                            peer: peer.to_owned(),
+                            source,
+                        })
+                    }
+                };
+                if done.load(Ordering::Relaxed) {
+                    return Ok(false);
                 }
-            }
 
-            if eof {
-                match mode {
-                    // Stream / raw: end of stream ends the session's
-                    // input — finish (raw finishes even when
-                    // truncated, matching stdin serve) or detach.
-                    Some(Mode::Stream) | None => {
-                        let (session, finish_incomplete) = match (&anon_id, attached.first()) {
-                            (Some(id), _) => (Some(id.clone()), true),
-                            (None, Some(id)) => (Some(id.clone()), false),
-                            (None, None) => (None, false),
-                        };
-                        if let Some(session) = session {
-                            let shard = shard_of(&session, shards);
-                            send_job(
-                                &txs[shard],
-                                Job::Eof {
-                                    session,
-                                    finish_incomplete,
-                                    reply: reply_tx.clone(),
-                                },
-                            );
-                            loop {
-                                match reply_rx.recv_timeout(Duration::from_millis(50)) {
-                                    Ok(reply) => {
-                                        if write_reply(&mut conn, peer, mode, reply)? {
-                                            break;
-                                        }
-                                    }
-                                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                                        if stop.load(Ordering::Relaxed) {
-                                            break;
-                                        }
-                                    }
-                                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                for item in items.drain(..) {
+                    match item {
+                        ProtoItem::Hello { mode: m, session } => {
+                            let _ = mode.set(m);
+                            if m == Mode::Stream {
+                                let shard = shard_of(&session, shards);
+                                if let Err(e) = registry.attach(&session, shard) {
+                                    // Tell the client why before closing —
+                                    // an ERROR frame instead of the CAFO
+                                    // handshake reply.
+                                    let _ = reply_tx.send(Reply::Frame(encode_error_frame(
+                                        &session,
+                                        &e.to_string(),
+                                    )));
+                                    return Err(e);
                                 }
-                            }
-                        }
-                        break 'conn;
-                    }
-                    // Framed: barrier every shard we touched so
-                    // pending REPORT / OFFSET_REPLY frames drain, then
-                    // detach (sessions keep their state for resume).
-                    Some(Mode::Framed) => {
-                        let mut pending = 0usize;
-                        for (shard, was_used) in used.iter().enumerate() {
-                            if *was_used {
+                                attached.push(session.clone());
+                                used[shard] = true;
+                                // The worker's offset answer completes the
+                                // handshake; the client sends no payload
+                                // before it arrives.
                                 send_job(
                                     &txs[shard],
-                                    Job::Barrier {
+                                    Job::Attach {
+                                        session,
                                         reply: reply_tx.clone(),
                                     },
                                 );
-                                pending += 1;
                             }
                         }
-                        while pending > 0 {
-                            match reply_rx.recv_timeout(Duration::from_millis(50)) {
-                                Ok(Reply::Flushed) => pending -= 1,
-                                Ok(reply) => {
-                                    let _ = write_reply(&mut conn, peer, mode, reply);
+                        ProtoItem::Raw(bytes) => {
+                            let session = match &anon_id {
+                                Some(id) => id.clone(),
+                                None => {
+                                    let id = format!(
+                                        "anon-{}",
+                                        anon.fetch_add(1, Ordering::Relaxed) + 1
+                                    );
+                                    let shard = shard_of(&id, shards);
+                                    registry.attach(&id, shard)?;
+                                    attached.push(id.clone());
+                                    anon_id = Some(id.clone());
+                                    id
                                 }
-                                Err(mpsc::RecvTimeoutError::Timeout) => {
-                                    if stop.load(Ordering::Relaxed) {
-                                        break;
+                            };
+                            let shard = shard_of(&session, shards);
+                            used[shard] = true;
+                            send_job(
+                                &txs[shard],
+                                Job::Data {
+                                    session,
+                                    bytes,
+                                    reply: reply_tx.clone(),
+                                },
+                            );
+                        }
+                        ProtoItem::Data { session, bytes } => {
+                            let shard = shard_of(&session, shards);
+                            if !attached.contains(&session) {
+                                match registry.attach(&session, shard) {
+                                    Ok(()) => attached.push(session.clone()),
+                                    Err(e) => {
+                                        // Scoped rejection: this session is
+                                        // busy; the connection (and its
+                                        // other sessions) continue.
+                                        let _ = reply_tx.send(Reply::Frame(encode_error_frame(
+                                            &session,
+                                            &e.to_string(),
+                                        )));
+                                        continue;
                                     }
                                 }
-                                Err(mpsc::RecvTimeoutError::Disconnected) => break,
                             }
+                            used[shard] = true;
+                            send_job(
+                                &txs[shard],
+                                Job::Data {
+                                    session,
+                                    bytes,
+                                    reply: reply_tx.clone(),
+                                },
+                            );
                         }
-                        break 'conn;
+                        ProtoItem::StatsRequest => {
+                            let _ = reply_tx.send(Reply::Frame(encode_stats_reply(
+                                registry.render_json().as_bytes(),
+                            )));
+                        }
+                        ProtoItem::OffsetRequest { session } => {
+                            let shard = shard_of(&session, shards);
+                            used[shard] = true;
+                            send_job(
+                                &txs[shard],
+                                Job::Offset {
+                                    session,
+                                    reply: reply_tx.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+
+                if eof {
+                    match mode.get() {
+                        // Stream / raw: end of stream ends the session's
+                        // input — finish (raw finishes even when
+                        // truncated, matching stdin serve) or detach. The
+                        // worker's answer is terminal: the writer stops
+                        // once it is written.
+                        Some(Mode::Stream) | None => {
+                            let (session, finish_incomplete) = match (&anon_id, attached.first()) {
+                                (Some(id), _) => (Some(id.clone()), true),
+                                (None, Some(id)) => (Some(id.clone()), false),
+                                (None, None) => (None, false),
+                            };
+                            if let Some(session) = session {
+                                let shard = shard_of(&session, shards);
+                                send_job(
+                                    &txs[shard],
+                                    Job::Eof {
+                                        session,
+                                        finish_incomplete,
+                                        reply: reply_tx.clone(),
+                                    },
+                                );
+                                return Ok(true);
+                            }
+                            return Ok(false);
+                        }
+                        // Framed: barrier every shard we touched so
+                        // pending REPORT / OFFSET_REPLY frames drain, then
+                        // detach (sessions keep their state for resume).
+                        // The close is queued first so the writer counts
+                        // every ack.
+                        Some(Mode::Framed) => {
+                            let barriers = used.iter().filter(|&&u| u).count();
+                            let _ = reply_tx.send(Reply::Close { barriers });
+                            for (shard, was_used) in used.iter().enumerate() {
+                                if *was_used {
+                                    send_job(
+                                        &txs[shard],
+                                        Job::Barrier {
+                                            reply: reply_tx.clone(),
+                                        },
+                                    );
+                                }
+                            }
+                            return Ok(true);
+                        }
                     }
                 }
             }
+        })();
+        if !matches!(result, Ok(true)) {
+            let _ = reply_tx.send(Reply::Close { barriers: 0 });
         }
-        Ok(())
-    })();
-
+        let written = written
+            .join()
+            .unwrap_or_else(|_| Err(io(std::io::Error::other("reply writer panicked"))));
+        (result, written)
+    });
     for session in &attached {
         registry.detach(session);
     }
+    read.and(written).map(|_| ())
+}
+
+/// The writing half of [`handle_conn`]: writes each reply as soon as
+/// it arrives. Stops after a terminal stream/raw reply (half-closing
+/// the socket so the peer sees the end at once), after a
+/// [`Reply::Close`] and the barrier acks it announces, on a write
+/// error, or on `stop` — and then sets `done` for the reader.
+fn write_replies(
+    mut conn: TcpStream,
+    peer: &str,
+    mode: &OnceLock<Mode>,
+    replies: &mpsc::Receiver<Reply>,
+    stop: &AtomicBool,
+    done: &AtomicBool,
+) -> Result<(), ServeError> {
+    // Barrier acks still awaited once the reader has closed.
+    let mut closing: Option<usize> = None;
+    let result = loop {
+        if closing == Some(0) {
+            break Ok(());
+        }
+        match replies.recv_timeout(Duration::from_millis(50)) {
+            Ok(Reply::Close { barriers }) => closing = Some(barriers),
+            Ok(Reply::Flushed) => {
+                if let Some(pending) = closing.as_mut() {
+                    *pending = pending.saturating_sub(1);
+                }
+            }
+            Ok(reply) => match write_reply(&mut conn, peer, mode.get().copied(), reply) {
+                Ok(false) => {}
+                Ok(true) => {
+                    let _ = conn.shutdown(std::net::Shutdown::Write);
+                    break Ok(());
+                }
+                Err(e) => break Err(e),
+            },
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if stop.load(Ordering::Relaxed) {
+                    break Ok(());
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break Ok(()),
+        }
+    };
+    done.store(true, Ordering::Relaxed);
     result
 }
 
@@ -677,10 +696,17 @@ fn write_reply(
             if framed {
                 conn.write_all(&encode_offset_reply_frame(&session, durable))
                     .map_err(io)?;
+            } else {
+                // Stream mode: the attach's answer is the handshake.
+                conn.write_all(&encode_offset_reply(durable)).map_err(io)?;
             }
             Ok(false)
         }
-        Reply::Flushed => Ok(false),
+        Reply::Frame(bytes) => {
+            conn.write_all(&bytes).map_err(io)?;
+            Ok(false)
+        }
+        Reply::Flushed | Reply::Close { .. } => Ok(false),
     }
 }
 

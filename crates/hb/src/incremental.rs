@@ -1,10 +1,11 @@
-//! Incremental (suffix-extending) happens-before construction.
+//! Incremental (suffix-extending) happens-before graph for live
+//! queries over a trace that is still arriving.
 //!
-//! The batch pipeline ([`base_graph`](crate::base_graph) +
-//! [`derive`](crate::derive)) needs the whole trace up front. A
-//! streaming ingester instead learns the trace in order: the complete
-//! task table first, then each task's body, one completed task at a
-//! time. [`IncrementalHb`] mirrors that shape:
+//! A streaming ingester learns the trace in order: the complete task
+//! table first, then each task's body, one completed task at a time.
+//! Its authoritative report comes from the batch pipeline once the
+//! trace is complete; [`IncrementalHb`] only serves the *provisional*
+//! queries a live watcher asks before that:
 //!
 //! 1. [`IncrementalHb::new`] — called once the tables are known —
 //!    builds the skeleton graph (begin/end nodes for every task) and
@@ -13,23 +14,25 @@
 //! 2. [`ingest`](IncrementalHb::ingest) appends a task's newly arrived
 //!    records: sync nodes, program edges, and cross-task base edges
 //!    paired against everything already ingested;
-//! 3. [`derive_now`](IncrementalHb::derive_now) extends the rule
-//!    fixpoint for the appended suffix, reusing pair memos from earlier
-//!    runs so already-decided pairs are never re-examined (only the
-//!    memo-less `sendAtFront` rules 2/4 are re-checked, a bounded set);
-//! 4. [`into_model`](IncrementalHb::into_model) finalizes into an
-//!    [`HbModel`] equivalent to a batch build.
+//! 3. [`seal`](IncrementalHb::seal) closes a completed task's
+//!    program-order chain;
+//! 4. [`demand_event_before`](IncrementalHb::demand_event_before) and
+//!    [`demand_happens_before`](IncrementalHb::demand_happens_before)
+//!    answer the §3.3 relation over the graph-so-far through the
+//!    demand engine, which settles only the cones a query probes and
+//!    follows graph growth between queries.
 //!
-//! **Equivalence guarantee.** Base edges are append-monotone: every
-//! pairing rule fires exactly the pairs the batch builder fires, just
-//! interleaved with ingestion (the sole exception, the unlock→lock
-//! ablation edges, needs the global acquisition order and is deferred
-//! to finalization). Derived edges reach the same least fixpoint: a
-//! memoized pair is only marked once its premise holds, premises only
-//! grow, and fired conclusions persist as edges. The *materialized*
-//! edge set may differ from a batch run where a fact is already implied
-//! transitively, but the reachability closure — and therefore every
-//! query an [`HbModel`] answers — is identical.
+//! Base edges are append-monotone: every pairing rule fires exactly the
+//! pairs the batch builder fires, just interleaved with ingestion. The
+//! sole exception, the unlock→lock edges of lock-ordered ablations,
+//! needs the global acquisition order and is never installed here, so
+//! under those ablations live answers may miss orderings the final
+//! report has — provisional answers are concurrency evidence only.
+//!
+//! [`derive_now_reference`](IncrementalHb::derive_now_reference) runs
+//! the naive textbook fixpoint over the graph-so-far instead: the small
+//! independent reference the seal-by-seal differential suite compares
+//! demand answers against.
 
 use std::collections::HashMap;
 
@@ -39,11 +42,10 @@ use crate::config::CausalityConfig;
 use crate::demand::{DemandCore, DemandStats};
 use crate::error::HbError;
 use crate::graph::{EdgeKind, SyncGraph};
-use crate::model::HbModel;
-use crate::oracle::ReachOracle;
-use crate::rules::{fixpoint, fixpoint_naive, DerivationStats, FixpointState, SendSite};
+use crate::rules::{fixpoint_naive, DerivationStats, EventTable, FixpointState, SendSite};
 
-/// An append-only happens-before builder over a streaming trace.
+/// An append-only happens-before graph over a streaming trace, queried
+/// through the demand engine.
 ///
 /// Methods take the (growing) trace by reference on each call rather
 /// than borrowing it for the builder's lifetime, so the caller can keep
@@ -55,9 +57,10 @@ use crate::rules::{fixpoint, fixpoint_naive, DerivationStats, FixpointState, Sen
 pub struct IncrementalHb {
     config: CausalityConfig,
     graph: SyncGraph,
-    fix: FixpointState,
-    stats: DerivationStats,
-    derives: u32,
+    /// Dense numbering of the (fixed) event set.
+    table: EventTable,
+    /// Send sites, in ingestion order.
+    sends: Vec<SendSite>,
     // Pairing tables, persisted so each new record pairs against every
     // previously ingested counterpart exactly once.
     notifies: HashMap<(MonitorId, u32), Vec<OpRef>>,
@@ -68,22 +71,12 @@ pub struct IncrementalHb {
     rpc_handles: HashMap<TxnId, Vec<OpRef>>,
     rpc_replies: HashMap<TxnId, Vec<OpRef>>,
     rpc_receives: HashMap<TxnId, Vec<OpRef>>,
-    locks: HashMap<MonitorId, Vec<(u32, OpRef)>>,
-    unlocks: HashMap<MonitorId, Vec<(u32, OpRef)>>,
     /// Records already ingested per task.
     ingested: Vec<u32>,
     sealed: Vec<bool>,
-    /// Sync records appended since the last `derive_now`.
-    staged: usize,
-    /// Cached reachability index over the graph-so-far; refreshed on
-    /// demand by [`refresh_oracle`](IncrementalHb::refresh_oracle).
-    oracle: Option<ReachOracle>,
     /// Lazy rule-query engine over the graph-so-far, created on the
-    /// first `demand_*` query. Unlike [`derive_now`], it materializes
-    /// no edges into the graph and pays only for the cones queries
-    /// probe — the live-mode path of a streaming session.
-    ///
-    /// [`derive_now`]: IncrementalHb::derive_now
+    /// first `demand_*` query. It materializes no edges into the graph
+    /// and pays only for the cones queries probe.
     demand: Option<DemandCore>,
 }
 
@@ -96,7 +89,7 @@ impl IncrementalHb {
     ///
     /// [`HbError::MalformedTrace`] if an event task has no queue.
     pub fn new(trace: &Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        let fix = FixpointState::new(trace)?;
+        let table = EventTable::new(trace)?;
         let mut graph = SyncGraph::skeleton(trace);
 
         // Table-derived base edges exist before any body arrives.
@@ -121,9 +114,8 @@ impl IncrementalHb {
         Ok(Self {
             config,
             graph,
-            fix,
-            stats: DerivationStats::default(),
-            derives: 0,
+            table,
+            sends: Vec::new(),
             notifies: HashMap::new(),
             waits: HashMap::new(),
             registers: HashMap::new(),
@@ -132,12 +124,8 @@ impl IncrementalHb {
             rpc_handles: HashMap::new(),
             rpc_replies: HashMap::new(),
             rpc_receives: HashMap::new(),
-            locks: HashMap::new(),
-            unlocks: HashMap::new(),
             ingested: vec![0; task_count],
             sealed: vec![false; task_count],
-            staged: 0,
-            oracle: None,
             demand: None,
         })
     }
@@ -149,13 +137,11 @@ impl IncrementalHb {
     /// `demand_*` query. Public so streaming callers can charge the
     /// extension cost to the right pass instead of the first query.
     pub fn sync_demand(&mut self) {
-        if self.demand.is_none() {
-            let core = DemandCore::new(&self.graph, self.fix.table.clone(), self.config);
-            self.demand = Some(core);
-        }
-        let core = self.demand.as_mut().expect("created above");
+        let core = self
+            .demand
+            .get_or_insert_with(|| DemandCore::new(&self.graph, self.table.clone(), self.config));
         core.sync_graph(&self.graph);
-        core.register_sends(&self.graph, &self.fix.sends);
+        core.register_sends(&self.graph, &self.sends);
     }
 
     /// Answers `end(e1) ≺ begin(e2)` over the graph-so-far through the
@@ -169,8 +155,8 @@ impl IncrementalHb {
     ///
     /// Panics if either task is not an event.
     pub fn demand_event_before(&mut self, e1: TaskId, e2: TaskId) -> bool {
-        let i1 = self.fix.table.dense(e1).expect("e1 must be an event");
-        let i2 = self.fix.table.dense(e2).expect("e2 must be an event");
+        let i1 = self.table.dense(e1).expect("e1 must be an event");
+        let i2 = self.table.dense(e2).expect("e2 must be an event");
         self.sync_demand();
         let core = self.demand.as_mut().expect("synced above");
         core.event_before(&self.graph, i1, i2)
@@ -195,68 +181,16 @@ impl IncrementalHb {
         self.demand.as_ref().map(DemandCore::stats)
     }
 
-    /// Brings the cached reachability index up to date with the graph:
-    /// a no-op if nothing changed, an in-place extension when the graph
-    /// only grew by program-order appends and safe seals, and a full
-    /// rebuild (with `threads` workers) otherwise. Returns `false` —
-    /// dropping any stale cache — if the graph-so-far is cyclic, in
-    /// which case callers fall back to DFS and the inconsistency
-    /// surfaces as a typed error at finalization.
-    pub fn refresh_oracle(&mut self, threads: usize) -> bool {
-        if let Some(oracle) = &mut self.oracle {
-            if oracle.try_extend(&self.graph) {
-                return true;
-            }
-        }
-        match ReachOracle::build(&self.graph, threads) {
-            Ok(oracle) => {
-                self.oracle = Some(oracle);
-                true
-            }
-            Err(_) => {
-                self.oracle = None;
-                false
-            }
-        }
-    }
-
-    /// The cached reachability index, if current for the graph-so-far.
-    pub fn oracle(&self) -> Option<&ReachOracle> {
-        self.oracle.as_ref().filter(|o| o.covers(&self.graph))
-    }
-
-    /// The configuration the builder was created with.
-    pub fn config(&self) -> &CausalityConfig {
-        &self.config
-    }
-
-    /// The graph as built so far (base edges current; derived edges as
-    /// of the last [`derive_now`](IncrementalHb::derive_now)).
+    /// The graph as built so far: base edges, plus derived edges only
+    /// after [`derive_now_reference`](IncrementalHb::derive_now_reference).
     pub fn graph(&self) -> &SyncGraph {
         &self.graph
     }
 
-    /// True once `task`'s program-order chain has been closed.
-    pub fn is_sealed(&self, task: TaskId) -> bool {
-        self.sealed[task.index()]
-    }
-
-    /// Sync records appended since the last fixpoint extension — the
-    /// un-derived backlog a memory high-water mark should bound.
-    pub fn staged_records(&self) -> usize {
-        self.staged
-    }
-
-    /// Accumulated derivation statistics across all fixpoint runs.
-    pub fn stats(&self) -> DerivationStats {
-        self.stats
-    }
-
     /// Modeled resident footprint of the builder's state, in bytes:
-    /// graph nodes and edges, the persistent fixpoint rows (one
-    /// reachability row triple per node), and the cached reachability
-    /// index. An accounting estimate for memory budgeting — not an
-    /// allocator measurement — but it scales with the real cost and is
+    /// graph nodes and edges plus the demand engine's per-node marks.
+    /// An accounting estimate for memory budgeting — not an allocator
+    /// measurement — but it scales with the real cost and is
     /// deterministic, so an eviction threshold expressed against it
     /// behaves identically on every run.
     pub fn footprint_estimate(&self) -> usize {
@@ -264,13 +198,11 @@ impl IncrementalHb {
         // the chronological edge log + dedup set.
         let nodes = self.graph.node_count() * 64;
         let edges = self.graph.edge_count() * 80;
-        // Fixpoint reachability rows: three bitset rows per node.
-        let rows = self.graph.node_count() * (self.graph.node_count() / 8).clamp(8, 1 << 12);
-        let oracle = self
-            .oracle
+        let demand = self
+            .demand
             .as_ref()
             .map_or(0, |_| self.graph.node_count() * 40);
-        nodes + edges + rows + oracle
+        nodes + edges + demand
     }
 
     /// Appends `task`'s records beyond what was already ingested:
@@ -292,7 +224,6 @@ impl IncrementalHb {
             }
             let at = OpRef::new(task, i as u32);
             let n = self.graph.append_record(task, i as u32);
-            self.staged += 1;
             match *r {
                 Record::Fork { child } => {
                     self.graph
@@ -309,24 +240,24 @@ impl IncrementalHb {
                 } => {
                     self.graph
                         .add_edge(n, self.graph.begin(event), EdgeKind::Send);
-                    self.fix.add_sends(&[SendSite {
+                    self.sends.push(SendSite {
                         node: n,
                         event,
                         queue,
                         delay_ms,
                         front: false,
-                    }]);
+                    });
                 }
                 Record::SendAtFront { event, queue } => {
                     self.graph
                         .add_edge(n, self.graph.begin(event), EdgeKind::Send);
-                    self.fix.add_sends(&[SendSite {
+                    self.sends.push(SendSite {
                         node: n,
                         event,
                         queue,
                         delay_ms: 0,
                         front: true,
-                    }]);
+                    });
                 }
                 Record::Notify { monitor, gen } => {
                     for &w in self.waits.get(&(monitor, gen)).map_or(&[][..], |v| v) {
@@ -398,15 +329,6 @@ impl IncrementalHb {
                     }
                     self.rpc_receives.entry(txn).or_default().push(at);
                 }
-                // Unlock→lock edges need the *global* acquisition order
-                // ("the next lock after this release"), which a suffix
-                // can change; they are installed at finalization.
-                Record::Lock { monitor, gen } => {
-                    self.locks.entry(monitor).or_default().push((gen, at));
-                }
-                Record::Unlock { monitor, gen } => {
-                    self.unlocks.entry(monitor).or_default().push((gen, at));
-                }
                 _ => {}
             }
         }
@@ -424,127 +346,30 @@ impl IncrementalHb {
         self.sealed[task.index()] = true;
     }
 
-    /// Extends the rule fixpoint over everything appended since the
-    /// last run, returning this run's statistics (also accumulated into
-    /// [`stats`](IncrementalHb::stats)).
+    /// Runs the naive reference fixpoint over the graph-so-far,
+    /// materializing every derived edge into it. `trace` must be the
+    /// trace the builder was created with. Exposed (hidden) for the
+    /// differential test suite only: a session that calls it stops
+    /// being a demand-only session, since later demand queries walk
+    /// the materialized edges too.
     ///
     /// # Errors
     ///
     /// [`HbError`] if the graph-so-far is cyclic (inconsistent input)
     /// or the fixpoint diverges.
-    pub fn derive_now(&mut self) -> Result<DerivationStats, HbError> {
-        let run = fixpoint(&mut self.graph, &self.config, &mut self.fix)?;
-        self.accumulate(run);
-        Ok(run)
-    }
-
-    /// [`derive_now`](IncrementalHb::derive_now) driven by the naive
-    /// reference loop instead of the semi-naive engine. Leaves the pair
-    /// memos and reachability rows untouched, so an all-reference
-    /// session stays a faithful baseline. Exposed (hidden) for the
-    /// differential test suite and the fixpoint benchmark only.
     #[doc(hidden)]
-    pub fn derive_now_reference(&mut self) -> Result<DerivationStats, HbError> {
-        let run = fixpoint_naive(&mut self.graph, &self.config, &mut self.fix)?;
-        self.accumulate(run);
-        Ok(run)
-    }
-
-    fn accumulate(&mut self, run: DerivationStats) {
-        self.stats.rounds += run.rounds;
-        self.stats.instances += run.instances;
-        self.stats.atomicity_edges += run.atomicity_edges;
-        for (acc, q) in self.stats.queue_edges.iter_mut().zip(run.queue_edges) {
-            *acc += q;
-        }
-        self.derives += 1;
-        self.staged = 0;
-    }
-
-    /// Number of fixpoint extensions run so far.
-    pub fn derive_count(&self) -> u32 {
-        self.derives
-    }
-
-    /// Finalizes into an [`HbModel`]: seals any unsealed task, installs
-    /// the deferred unlock→lock edges (lock-ordered ablations only),
-    /// runs the fixpoint to convergence, and assembles the query model.
-    /// Answers every query identically to `HbModel::build(trace,
-    /// config)`.
-    ///
-    /// # Errors
-    ///
-    /// [`HbError`] as for [`derive_now`](IncrementalHb::derive_now).
-    pub fn into_model<'t>(mut self, trace: &'t Trace) -> Result<HbModel<'t>, HbError> {
-        for info in trace.tasks() {
-            self.seal(trace, info.id);
-        }
-        if self.config.lock_hb {
-            for (monitor, mut uls) in std::mem::take(&mut self.unlocks) {
-                let Some(mut ls) = self.locks.remove(&monitor) else {
-                    continue;
-                };
-                uls.sort_by_key(|&(gen, _)| gen);
-                ls.sort_by_key(|&(gen, _)| gen);
-                for &(gen, at) in &uls {
-                    let next = ls.partition_point(|&(lgen, _)| lgen <= gen);
-                    if let Some(&(_, lock_at)) = ls.get(next) {
-                        let un = self.graph.node_of(at).expect("ingested sync record");
-                        let ln = self.graph.node_of(lock_at).expect("ingested sync record");
-                        self.graph.add_edge(un, ln, EdgeKind::LockOrder);
-                    }
-                }
-            }
-        }
-        self.derive_now()?;
-        let closure = self.fix.converged_closure(&self.graph);
-        HbModel::from_parts(trace, self.config, self.graph, self.stats, closure)
+    pub fn derive_now_reference(&mut self, trace: &Trace) -> Result<DerivationStats, HbError> {
+        let mut st = FixpointState::new(trace)?;
+        st.add_sends(&self.sends);
+        fixpoint_naive(&mut self.graph, &self.config, &mut st)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::HbModel;
     use cafa_trace::{ObjId, Pc, TraceBuilder, VarId};
-
-    /// Ingests a complete trace task-by-task with a derive after each
-    /// seal, then finalizes.
-    fn incremental_model(trace: &Trace, config: CausalityConfig) -> HbModel<'_> {
-        let mut inc = IncrementalHb::new(trace, config).expect("valid trace");
-        for info in trace.tasks() {
-            inc.seal(trace, info.id);
-            inc.derive_now().expect("incremental derivation converges");
-        }
-        inc.into_model(trace).expect("finalization converges")
-    }
-
-    /// Closure equality against the batch model: every event pair and
-    /// every op pair over the trace's accesses agree.
-    fn assert_equivalent(trace: &Trace, config: CausalityConfig) {
-        let batch = HbModel::build(trace, config).expect("batch build");
-        let inc = incremental_model(trace, config);
-        for &e1 in batch.events() {
-            for &e2 in batch.events() {
-                if e1 != e2 {
-                    assert_eq!(
-                        batch.event_before(e1, e2),
-                        inc.event_before(e1, e2),
-                        "event order {e1}->{e2} diverged"
-                    );
-                }
-            }
-        }
-        let ops: Vec<OpRef> = trace.iter_ops().map(|(at, _)| at).collect();
-        for &a in &ops {
-            for &b in &ops {
-                assert_eq!(
-                    batch.happens_before(a, b),
-                    inc.happens_before(a, b),
-                    "op order {a:?}->{b:?} diverged"
-                );
-            }
-        }
-    }
 
     fn figure1_trace() -> Trace {
         let mut b = TraceBuilder::new("MyTracks");
@@ -589,59 +414,54 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn figure1_matches_batch_under_cafa() {
-        assert_equivalent(&figure1_trace(), CausalityConfig::cafa());
-    }
-
-    #[test]
-    fn figure1_matches_batch_under_conventional() {
-        assert_equivalent(&figure1_trace(), CausalityConfig::conventional());
-    }
-
-    #[test]
-    fn cascade_matches_batch_under_all_presets() {
-        let trace = cascade_trace();
-        for config in [
-            CausalityConfig::cafa(),
-            CausalityConfig::conventional(),
-            CausalityConfig::no_queue_rules(),
-            CausalityConfig::fasttrack_like(),
-        ] {
-            assert_equivalent(&trace, config);
-        }
-    }
-
-    #[test]
-    fn derive_per_seal_is_not_required() {
-        // Deriving only once at the end must agree too.
-        let trace = cascade_trace();
-        let batch = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
-        let mut inc = IncrementalHb::new(&trace, CausalityConfig::cafa()).unwrap();
-        for info in trace.tasks() {
-            inc.seal(&trace, info.id);
-        }
-        let model = inc.into_model(&trace).unwrap();
+    /// Fully sealed, demand answers equal the batch model's on every
+    /// event pair and every operation pair.
+    fn assert_sealed_matches_batch(
+        trace: &Trace,
+        config: CausalityConfig,
+        inc: &mut IncrementalHb,
+    ) {
+        let batch = HbModel::build(trace, config).expect("batch build");
         for &e1 in batch.events() {
             for &e2 in batch.events() {
                 if e1 != e2 {
-                    assert_eq!(batch.event_before(e1, e2), model.event_before(e1, e2));
+                    assert_eq!(
+                        batch.event_before(e1, e2),
+                        inc.demand_event_before(e1, e2),
+                        "event order {e1}->{e2} diverged"
+                    );
                 }
+            }
+        }
+        let ops: Vec<OpRef> = trace.iter_ops().map(|(at, _)| at).collect();
+        for &a in &ops {
+            for &b in &ops {
+                assert_eq!(
+                    batch.happens_before(a, b),
+                    inc.demand_happens_before(a, b),
+                    "op order {a:?}->{b:?} diverged"
+                );
             }
         }
     }
 
+    /// Every preset without lock-ordered edges (those are never
+    /// installed incrementally; see the module docs).
     #[test]
-    fn staged_counter_tracks_backlog() {
-        let trace = cascade_trace();
-        let mut inc = IncrementalHb::new(&trace, CausalityConfig::cafa()).unwrap();
-        assert_eq!(inc.staged_records(), 0);
-        let first = trace.tasks().next().unwrap().id;
-        inc.seal(&trace, first);
-        assert!(inc.staged_records() > 0);
-        inc.derive_now().unwrap();
-        assert_eq!(inc.staged_records(), 0);
-        assert_eq!(inc.derive_count(), 1);
+    fn sealed_demand_answers_match_batch() {
+        for trace in [figure1_trace(), cascade_trace()] {
+            for config in [
+                CausalityConfig::cafa(),
+                CausalityConfig::conventional(),
+                CausalityConfig::no_queue_rules(),
+            ] {
+                let mut inc = IncrementalHb::new(&trace, config).unwrap();
+                for info in trace.tasks() {
+                    inc.seal(&trace, info.id);
+                }
+                assert_sealed_matches_batch(&trace, config, &mut inc);
+            }
+        }
     }
 
     #[test]
@@ -649,20 +469,34 @@ mod tests {
         // Ingest may be called repeatedly as a body grows; pairing must
         // not duplicate edges.
         let trace = figure1_trace();
-        let mut inc = IncrementalHb::new(&trace, CausalityConfig::cafa()).unwrap();
+        let config = CausalityConfig::cafa();
+        let mut inc = IncrementalHb::new(&trace, config).unwrap();
         for info in trace.tasks() {
             inc.ingest(&trace, info.id); // full body
+            let edges = inc.graph().edge_count();
             inc.ingest(&trace, info.id); // no-op: nothing new
+            assert_eq!(inc.graph().edge_count(), edges);
             inc.seal(&trace, info.id);
         }
-        let batch = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
-        let model = inc.into_model(&trace).unwrap();
-        for &e1 in batch.events() {
-            for &e2 in batch.events() {
-                if e1 != e2 {
-                    assert_eq!(batch.event_before(e1, e2), model.event_before(e1, e2));
-                }
-            }
+        assert_sealed_matches_batch(&trace, config, &mut inc);
+    }
+
+    #[test]
+    fn no_demand_state_until_the_first_query() {
+        let trace = figure1_trace();
+        let mut inc = IncrementalHb::new(&trace, CausalityConfig::cafa()).unwrap();
+        for info in trace.tasks() {
+            inc.seal(&trace, info.id);
         }
+        assert!(inc.demand_stats().is_none());
+        let quiet = inc.footprint_estimate();
+        let events: Vec<TaskId> = trace
+            .tasks()
+            .filter(|t| t.is_event())
+            .map(|t| t.id)
+            .collect();
+        inc.demand_event_before(events[0], events[1]);
+        assert!(inc.demand_stats().is_some_and(|s| s.queries > 0));
+        assert!(inc.footprint_estimate() > quiet);
     }
 }

@@ -107,8 +107,6 @@ pub struct ReachOracle {
     /// Per chain: last program-order-linked position (`END_POS` once
     /// sealed).
     linked_until: Vec<u32>,
-    /// Per chain: its `end(t)` node.
-    end_node: Vec<NodeId>,
     /// `u64` words per begin-matrix row (`⌈chains / 64⌉`).
     words_per_row: usize,
     /// Begin matrix in column blocks: block `b` holds words
@@ -123,23 +121,8 @@ pub struct ReachOracle {
     /// Full "reaches end(chain)" bit rows (one bit per node) for chains
     /// whose end node has a non-program in-edge.
     end_rows: Vec<Vec<u64>>,
-    /// Fingerprint: nodes covered by the index.
+    /// Nodes covered by the index.
     nodes: usize,
-    /// Fingerprint: total edges covered by the index.
-    edges: usize,
-    /// Fingerprint: non-program (cross/derived) edges covered.
-    cross_edges: usize,
-}
-
-/// Splits a graph's edge count into (program, non-program) totals.
-fn edge_split(graph: &SyncGraph) -> (usize, usize) {
-    let prog: usize = graph
-        .edge_kind_counts()
-        .iter()
-        .filter(|&&(k, _)| k == EdgeKind::Program)
-        .map(|&(_, n)| n)
-        .sum();
-    (prog, graph.edge_count() - prog)
 }
 
 /// Runs `f(global_index, item)` over `items`, split contiguously across
@@ -321,12 +304,10 @@ impl ReachOracle {
             });
         }
 
-        let (prog, cross) = edge_split(graph);
         ReachOracle {
             chain,
             pos,
             linked_until,
-            end_node,
             words_per_row,
             blocks,
             mid_index,
@@ -334,8 +315,6 @@ impl ReachOracle {
             end_index,
             end_rows,
             nodes: v,
-            edges: prog + cross,
-            cross_edges: cross,
         }
     }
 
@@ -404,108 +383,6 @@ impl ReachOracle {
     pub fn mid_entry_chains(&self) -> usize {
         self.mid_rows.len()
     }
-
-    /// True when the index still matches `graph` exactly.
-    pub fn covers(&self, graph: &SyncGraph) -> bool {
-        graph.node_count() == self.nodes && graph.edge_count() == self.edges
-    }
-
-    /// Extends the index over a graph that grew by *program-order
-    /// appends only* — new record nodes chained at their task's tail
-    /// and/or task seals — without touching any existing row. Returns
-    /// `false` (leaving the index unchanged and stale) when the growth
-    /// is not of that shape and a rebuild is required:
-    ///
-    /// * any non-program edge was added (a cross or derived edge can
-    ///   create reachability between arbitrary existing nodes), or
-    /// * a chain was sealed whose end node has outgoing edges (sealing
-    ///   makes the whole chain reach those targets, invalidating every
-    ///   row upstream of it).
-    ///
-    /// Appends cannot perturb existing rows: a fresh record node has no
-    /// outgoing cross edges, so it reaches no begin and no foreign
-    /// chain; nodes that newly reach it do so at a *later* position than
-    /// any entry they already had, which the `linked_until` interval
-    /// check covers without a matrix update.
-    pub fn try_extend(&mut self, graph: &SyncGraph) -> bool {
-        let v_new = graph.node_count();
-        let (prog, cross) = edge_split(graph);
-        if cross != self.cross_edges || v_new < self.nodes {
-            return false;
-        }
-        if v_new == self.nodes && prog + cross == self.edges {
-            return true; // nothing changed
-        }
-
-        // Stage the new coordinates; commit only if every check passes.
-        let mut new_chain = Vec::with_capacity(v_new - self.nodes);
-        let mut new_pos = Vec::with_capacity(v_new - self.nodes);
-        for n in self.nodes..v_new {
-            let info = graph.node(n as NodeId);
-            let c = info.task.index();
-            if c >= self.linked_until.len() {
-                return false; // a new task: not an append
-            }
-            new_chain.push(c as u32);
-            new_pos.push(match info.point {
-                NodePoint::Begin => 0,
-                NodePoint::Record(i) => i + 1,
-                NodePoint::End => END_POS,
-            });
-        }
-
-        // Recompute linked_until and refuse seals of chains whose end
-        // has successors (those need full propagation).
-        let mut linked = vec![0u32; self.linked_until.len()];
-        let at = |n: usize| {
-            if n < self.nodes {
-                (self.chain[n], self.pos[n])
-            } else {
-                (new_chain[n - self.nodes], new_pos[n - self.nodes])
-            }
-        };
-        for n in 0..v_new {
-            let (c, p) = at(n);
-            if p != END_POS && p > linked[c as usize] {
-                linked[c as usize] = p;
-            }
-        }
-        for (c, &end) in self.end_node.iter().enumerate() {
-            // Sealed means the program tail → end edge exists (kind
-            // checked: a forged non-program edge into the end is not a
-            // seal, and forces a rebuild via the cross-count check).
-            let sealed = graph.preds(end).any(|p| {
-                at(p as usize).0 as usize == c
-                    && graph
-                        .succs(p)
-                        .any(|(s, k)| s == end && k == EdgeKind::Program)
-            });
-            if sealed {
-                if self.linked_until[c] != END_POS && graph.succs(end).next().is_some() {
-                    return false; // newly sealed, end has out-edges
-                }
-                linked[c] = END_POS;
-            }
-        }
-
-        // Commit: new rows are all-zero / no-entry (see the doc above).
-        self.chain.append(&mut new_chain);
-        self.pos.append(&mut new_pos);
-        self.linked_until = linked;
-        for (b, block) in self.blocks.iter_mut().enumerate() {
-            let width = Self::block_width_of(self.words_per_row, b);
-            block.resize(v_new * width, 0);
-        }
-        for row in &mut self.mid_rows {
-            row.resize(v_new, NO_ROW);
-        }
-        for row in &mut self.end_rows {
-            row.resize(v_new.div_ceil(64), 0);
-        }
-        self.nodes = v_new;
-        self.edges = prog + cross;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -561,7 +438,6 @@ mod tests {
         let oracle = ReachOracle::build(model.graph(), 1).unwrap();
         assert_eq!(oracle.mid_entry_chains(), 1);
         assert_eq!(oracle.chain_count(), 2);
-        assert!(oracle.covers(model.graph()));
     }
 
     #[test]
@@ -625,47 +501,6 @@ mod tests {
         g.add_edge(rec, g.end(tasks[0]), EdgeKind::External);
         let oracle = ReachOracle::build(&g, 2).unwrap();
         assert_matches_dfs(&g, &oracle);
-    }
-
-    #[test]
-    fn extend_covers_pure_appends_and_seals() {
-        let trace = fork_join_trace();
-        let mut g = SyncGraph::skeleton(&trace);
-        let mut oracle = ReachOracle::build(&g, 1).unwrap();
-        let tasks: Vec<_> = trace.tasks().map(|t| t.id).collect();
-
-        // Appending records and sealing (ends have no out-edges here)
-        // extends in place.
-        g.append_record(tasks[0], 1);
-        assert!(oracle.try_extend(&g));
-        assert_matches_dfs(&g, &oracle);
-        g.seal_task(tasks[1]);
-        assert!(oracle.try_extend(&g));
-        assert!(oracle.covers(&g));
-        assert_matches_dfs(&g, &oracle);
-
-        // A cross edge forces a rebuild.
-        let fork_node = g.node_of(cafa_trace::OpRef::new(tasks[0], 1)).unwrap();
-        g.add_edge(fork_node, g.begin(tasks[1]), EdgeKind::Fork);
-        assert!(!oracle.try_extend(&g));
-        let rebuilt = ReachOracle::build(&g, 1).unwrap();
-        assert_matches_dfs(&g, &rebuilt);
-    }
-
-    #[test]
-    fn extend_refuses_sealing_an_end_with_successors() {
-        let trace = fork_join_trace();
-        let mut g = SyncGraph::skeleton(&trace);
-        let tasks: Vec<_> = trace.tasks().map(|t| t.id).collect();
-        // Wire end(child) → begin(main) first (cross), then build.
-        g.add_edge(g.end(tasks[1]), g.begin(tasks[0]), EdgeKind::Join);
-        let mut oracle = ReachOracle::build(&g, 1).unwrap();
-        // Sealing the child now makes its whole chain reach begin(main):
-        // existing rows would be stale, so extension must refuse.
-        g.seal_task(tasks[1]);
-        assert!(!oracle.try_extend(&g));
-        let rebuilt = ReachOracle::build(&g, 2).unwrap();
-        assert_matches_dfs(&g, &rebuilt);
     }
 
     #[test]

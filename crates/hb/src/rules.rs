@@ -18,10 +18,10 @@
 //!   premise row actually changed — plus the memo-less `sendAtFront`
 //!   rules 2/4 (whose side condition can become true later; front
 //!   sends are rare, so that re-check set is bounded).
-//! * The same delta structure carries across *calls*: an incremental
-//!   session ([`crate::IncrementalHb`]) appends base edges between
-//!   fixpoint runs, and the next run propagates exactly the suffix of
-//!   the graph's edge log added since the rows last converged.
+//! * The same delta structure carries across *calls* on one
+//!   [`FixpointState`]: a second run over a grown graph propagates
+//!   exactly the suffix of the graph's edge log added since the rows
+//!   last converged.
 //! * Round-local working sets (the per-anchor conclusion lists) live in
 //!   a reusable SoA arena ([`RoundArena`]) rather than per-round
 //!   `Vec<Vec<_>>` allocations.

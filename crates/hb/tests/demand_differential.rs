@@ -16,10 +16,11 @@
 //! * **incremental seal-by-seal sequences** — a demand session that
 //!   never materializes rule edges, checked after every seal against a
 //!   naive-reference session that materializes everything and answers
-//!   through a rebuilt [`ReachOracle`].
+//!   by depth-first search over its graph.
 
 use proptest::prelude::*;
 
+use cafa_hb::bitset::BitSet;
 use cafa_hb::{CausalityConfig, HbModel, IncrementalHb};
 use cafa_trace::arbitrary::trace_from_tape;
 use cafa_trace::{OpRef, TaskId, Trace};
@@ -102,8 +103,8 @@ proptest! {
     /// session fed the identical seal sequence. The demand side never
     /// calls a derive — the query engine does all rule work inside the
     /// cones each answer needs; the reference side materializes the
-    /// full fixpoint after every seal and answers through a rebuilt
-    /// oracle. Every event pair must agree after every single seal,
+    /// full fixpoint after every seal and answers by depth-first
+    /// search. Every event pair must agree after every single seal,
     /// including pairs involving still-unsealed tasks (whose ends are
     /// disconnected, so no rule premise can fire around them yet).
     #[test]
@@ -118,15 +119,14 @@ proptest! {
         for info in trace.tasks() {
             demand.seal(&trace, info.id);
             reference.seal(&trace, info.id);
-            if reference.derive_now_reference().is_err() {
+            if reference.derive_now_reference(&trace).is_err() {
                 return Ok(()); // cyclic tape; demand answers are unspecified
             }
-            reference.refresh_oracle(1);
-            let oracle = reference.oracle().expect("just refreshed");
             let g = reference.graph();
+            let mut scratch = BitSet::new(g.node_count());
             for &a in &events {
                 for &b in &events {
-                    let expect = a != b && oracle.reaches(g.end(a), g.begin(b));
+                    let expect = a != b && g.reaches(g.end(a), g.begin(b), &mut scratch);
                     prop_assert_eq!(
                         demand.demand_event_before(a, b),
                         expect,
@@ -137,14 +137,14 @@ proptest! {
             }
         }
         // Operation-level spot check once the whole trace is sealed.
-        let oracle = reference.oracle().expect("refreshed in the loop");
         let g = reference.graph();
+        let mut scratch = BitSet::new(g.node_count());
         for &a in &ops_of(&trace, 80) {
             for &b in &ops_of(&trace, 80) {
                 let expect = if a.task == b.task {
                     a.index < b.index
                 } else {
-                    oracle.reaches(g.bracket_after(a), g.bracket_before(b))
+                    g.reaches(g.bracket_after(a), g.bracket_before(b), &mut scratch)
                 };
                 prop_assert_eq!(
                     demand.demand_happens_before(a, b),
@@ -177,54 +177,5 @@ fn backends_agree_on_perturbed_catalog_traces() {
         let trace = outcome.trace.take().expect("instrumentation is on");
         assert_backends_agree(&trace, CausalityConfig::cafa());
         assert_backends_agree(&trace, CausalityConfig::conventional());
-    }
-}
-
-/// Interleaved demand queries must not change what a later derive
-/// materializes, and a demand session queried *after* eager edges were
-/// derived into its own graph still answers the fixpoint: the cone
-/// walks see materialized edges and the suppression logic treats them
-/// as already-implied conclusions.
-#[test]
-fn demand_queries_coexist_with_eager_derives() {
-    let tape: Vec<u8> = (0..240).map(|i| (i * 37 % 251) as u8).collect();
-    let trace = trace_from_tape(&tape);
-    let config = CausalityConfig::cafa();
-    let eager = match HbModel::build_eager(&trace, config) {
-        Ok(m) => m,
-        Err(_) => return, // tape happens to be cyclic; nothing to compare
-    };
-    let mut inc = IncrementalHb::new(&trace, config).expect("tape traces are well-formed");
-    let events = events_of(&trace);
-    for (n, info) in trace.tasks().enumerate() {
-        inc.seal(&trace, info.id);
-        // Alternate: odd seals materialize eagerly into the same graph
-        // the demand core walks; even seals leave the rule work to the
-        // query engine.
-        if n % 2 == 1 {
-            inc.derive_now().expect("eager build converged above");
-        }
-        for &a in &events {
-            if inc.is_sealed(a) {
-                for &b in &events {
-                    if inc.is_sealed(b) && inc.demand_event_before(a, b) {
-                        assert!(
-                            eager.event_before(a, b),
-                            "demand claimed event_before({a}, {b}) the eager model denies"
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // Fully sealed: answers now match the batch model exactly.
-    for &a in &events {
-        for &b in &events {
-            assert_eq!(
-                inc.demand_event_before(a, b),
-                eager.event_before(a, b),
-                "event_before({a}, {b}) diverged after full seal"
-            );
-        }
     }
 }

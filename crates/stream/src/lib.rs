@@ -1,28 +1,25 @@
-//! Streaming trace ingestion and incremental online analysis.
+//! Streaming trace ingestion with optional live provisional reports.
 //!
 //! The batch pipeline — `read_binary`/`read_text`, then
-//! [`HbModel::build`](cafa_hb::HbModel::build), then
 //! [`Analyzer::analyze`](cafa_core::Analyzer) — needs the whole trace
-//! in memory before any work starts. This crate runs the same analysis
-//! *online*, over a trace that is still arriving:
+//! in memory before it starts. This crate accepts the trace while it
+//! is still arriving:
 //!
 //! * [`StreamDecoder`](cafa_trace::StreamDecoder) (from `cafa-trace`)
 //!   turns arbitrary byte chunks of either wire format into decode
 //!   milestones;
-//! * [`IncrementalHb`](cafa_hb::IncrementalHb) (from `cafa-hb`) keeps
-//!   a suffix-extending happens-before graph in step with the decoded
-//!   records, with memoized fixpoint state so each extension pays only
-//!   for the appended suffix;
-//! * [`IncrementalSession`] (here) wires the two together, bounds the
-//!   un-derived backlog with a configurable high-water mark
-//!   ([`StreamOptions::high_water`]), and — optionally — watches for
-//!   use-free candidates as soon as both endpoints' tasks are closed,
-//!   emitting [`ProvisionalRace`]s long before end of stream.
+//! * [`IncrementalSession`] (here) decodes each pushed chunk and, at
+//!   end of stream, runs the unmodified batch pipeline — island
+//!   partitioning and the demand query engine — over the decoded
+//!   trace, so the final report is **byte-identical** to the batch
+//!   analyzer's by construction;
+//! * with [`StreamOptions::live`], the session also keeps an
+//!   [`IncrementalHb`](cafa_hb::IncrementalHb) (from `cafa-hb`) in
+//!   step with the decoded records and watches for use-free
+//!   candidates as soon as both endpoints' tasks are closed, emitting
+//!   [`ProvisionalRace`]s long before end of stream.
 //!
-//! The final report is **byte-identical** to the batch analyzer's: at
-//! end of stream [`IncrementalSession::finish`] validates the trace,
-//! finalizes the incremental model, and runs the unmodified detector
-//! against it. Provisional emissions are a strictly separate channel —
+//! Provisional emissions are a strictly separate channel —
 //! happens-before only grows as a trace extends, so a pair that looks
 //! concurrent mid-stream can still be ordered (or filtered) by the
 //! time the trace completes; the final report is the authority.
@@ -68,12 +65,6 @@ use cafa_engine::{extract_task, AnalysisSession, MemoryOps, PassStats};
 use cafa_hb::{HbError, IncrementalHb};
 use cafa_trace::{OpRef, Pc, ReadError, StreamDecoder, StreamEvent, TaskId, Trace, VarId};
 
-/// Approximate in-memory cost of one staged (un-derived) sync record:
-/// its graph node, adjacency entries, and pairing-table slots. Used to
-/// convert [`IncrementalHb::staged_records`] into bytes for the
-/// high-water check.
-const STAGED_RECORD_COST: usize = 64;
-
 /// Approximate in-memory cost of one decoded trace record held by the
 /// growing [`Trace`]: the record itself plus its share of the body
 /// vector. Used by [`IncrementalSession::footprint_bytes`].
@@ -84,18 +75,11 @@ const TRACE_RECORD_COST: usize = 48;
 pub struct StreamOptions {
     /// Detector configuration for the final (authoritative) report.
     pub detector: DetectorConfig,
-    /// High-water mark, in bytes, on *staging* state: the decoder's
-    /// buffered bytes plus the un-derived record backlog. When a push
-    /// would leave staging above this mark, the session extends the
-    /// happens-before fixpoint before returning — the caller (and so
-    /// the reader feeding it) is paused, and no record is ever
-    /// dropped. The decoded trace itself still grows with the stream;
-    /// it is the input, not staging.
-    pub high_water: usize,
     /// Emit [`ProvisionalRace`]s from the online watcher as tasks
     /// close. Off by default: provisional candidates are concurrency
     /// evidence only (no heuristic filters, and a later suffix can
-    /// still order the pair); the final report is the authority.
+    /// still order the pair); the final report is the authority. Only
+    /// a live session keeps happens-before state between pushes.
     pub live: bool,
 }
 
@@ -103,7 +87,6 @@ impl Default for StreamOptions {
     fn default() -> Self {
         Self {
             detector: DetectorConfig::cafa(),
-            high_water: 8 << 20,
             live: false,
         }
     }
@@ -111,11 +94,12 @@ impl Default for StreamOptions {
 
 /// An error from streaming analysis: either the byte stream is not a
 /// valid trace, or the happens-before relation over it is inconsistent.
+/// Both carry the same error batch analysis of the same bytes returns.
 #[derive(Debug)]
 pub enum StreamError {
     /// The wire stream failed to decode or validate.
     Read(ReadError),
-    /// The happens-before fixpoint failed (cyclic relation).
+    /// The happens-before relation cannot be built (e.g. it is cyclic).
     Hb(HbError),
 }
 
@@ -123,7 +107,7 @@ impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Read(e) => write!(f, "stream decode: {e}"),
-            Self::Hb(e) => write!(f, "incremental analysis: {e}"),
+            Self::Hb(e) => write!(f, "analysis: {e}"),
         }
     }
 }
@@ -182,9 +166,11 @@ pub struct StreamProgress {
     pub records: u64,
     /// Tasks whose bodies are complete.
     pub tasks_sealed: usize,
-    /// Fixpoint extensions run so far (including high-water flushes).
+    /// Always 0: sessions no longer extend a fixpoint while ingesting.
+    /// Kept so existing consumers of the counters still compile.
     pub derives: u32,
-    /// Times the high-water mark forced a derive before more input.
+    /// Always 0: decoding keeps no un-derived backlog to flush. Kept so
+    /// existing consumers of the counters still compile.
     pub backpressure_flushes: u64,
 }
 
@@ -200,21 +186,25 @@ pub struct StreamOutcome {
     /// Ingestion counters.
     pub progress: StreamProgress,
     /// Wall time and item counts of the streaming passes
-    /// (`stream-decode`, `hb-ingest`, `hb-derive`, `watch`),
-    /// accumulated across all pushes.
+    /// (`stream-decode`, plus `hb-ingest`, `hb-demand` and `watch` in
+    /// live mode), accumulated across all pushes. The final analysis's
+    /// own passes are in the report's `stats.passes`.
     pub passes: PassStats,
 }
 
-/// Online analysis state over a trace that is still arriving.
+/// Ingestion state over a trace that is still arriving.
 ///
 /// Feed byte chunks with [`push`](IncrementalSession::push) in any
 /// sizes; the resulting analysis is chunk-invariant. At end of stream,
-/// [`finish`](IncrementalSession::finish) produces the same
-/// [`RaceReport`] a batch analysis of the completed trace would.
+/// [`finish`](IncrementalSession::finish) runs the batch pipeline and
+/// so produces the same [`RaceReport`] a batch analysis of the
+/// completed trace does.
 #[derive(Debug)]
 pub struct IncrementalSession {
     opts: StreamOptions,
     decoder: StreamDecoder,
+    /// Happens-before state for the live watcher; `None` unless
+    /// [`StreamOptions::live`].
     hb: Option<IncrementalHb>,
     progress: StreamProgress,
     passes: PassStats,
@@ -251,18 +241,10 @@ impl IncrementalSession {
 
     /// Demand query-engine counters (queries answered, rule premises
     /// evaluated, derived edges materialized) accumulated by the live
-    /// watcher, if live mode has issued any queries yet.
+    /// watcher, if live mode has issued any queries yet. Always `None`
+    /// for a session that is not live.
     pub fn demand_stats(&self) -> Option<cafa_hb::DemandStats> {
         self.hb.as_ref().and_then(|hb| hb.demand_stats())
-    }
-
-    /// Current staging footprint in bytes: decoder buffer plus the
-    /// un-derived record backlog. [`push`](IncrementalSession::push)
-    /// keeps this at or under [`StreamOptions::high_water`] between
-    /// calls.
-    pub fn staging_bytes(&self) -> usize {
-        let staged = self.hb.as_ref().map_or(0, |hb| hb.staged_records());
-        self.decoder.buffered_bytes() + staged * STAGED_RECORD_COST
     }
 
     /// True once the full trace has been received.
@@ -271,11 +253,11 @@ impl IncrementalSession {
     }
 
     /// Modeled resident footprint of the whole session, in bytes: the
-    /// decoder's buffer, the decoded trace so far, and the incremental
-    /// happens-before state (graph, fixpoint rows, reachability
-    /// index). A deterministic accounting estimate — the currency a
-    /// multi-tenant server's memory budget and eviction policy are
-    /// denominated in — not an allocator measurement.
+    /// decoder's buffer, the decoded trace so far, and — in live mode
+    /// only — the incremental happens-before state. A deterministic
+    /// accounting estimate — the currency a multi-tenant server's
+    /// memory budget and eviction policy are denominated in — not an
+    /// allocator measurement.
     pub fn footprint_bytes(&self) -> usize {
         self.decoder.buffered_bytes()
             + self.progress.records as usize * TRACE_RECORD_COST
@@ -289,8 +271,8 @@ impl IncrementalSession {
     /// previous session ingested (e.g. from an on-disk journal), then
     /// continues accepting new chunks.
     ///
-    /// Because analysis is chunk-invariant and happens-before state is
-    /// a pure function of the bytes ingested so far, the restored
+    /// Because analysis is chunk-invariant and session state is a pure
+    /// function of the bytes ingested so far, the restored
     /// session is *equivalent* to the one that was dropped: feeding
     /// both the same suffix produces byte-identical final reports, and
     /// replaying the original chunk boundaries reproduces the progress
@@ -314,20 +296,18 @@ impl IncrementalSession {
         Ok(session)
     }
 
-    /// Consumes one chunk: decodes it, extends the incremental
-    /// happens-before state, and — with [`StreamOptions::live`] — runs
-    /// the online watcher over any tasks that completed, returning the
-    /// provisional candidates it found.
-    ///
-    /// If the push leaves the staging footprint above the high-water
-    /// mark, the fixpoint backlog is flushed before returning
-    /// (backpressure: the caller pauses, nothing is dropped).
+    /// Consumes one chunk: decodes it and — with
+    /// [`StreamOptions::live`] — extends the incremental happens-before
+    /// graph and runs the online watcher over any tasks that
+    /// completed, returning the provisional candidates it found.
+    /// Without `live` the result is always empty.
     ///
     /// # Errors
     ///
     /// [`StreamError::Read`] as soon as the stream is malformed;
-    /// [`StreamError::Hb`] if the happens-before relation over the
-    /// received prefix is inconsistent (cyclic).
+    /// [`StreamError::Hb`] in live mode if the task table names an
+    /// event without a queue. A cyclic relation is only detected by
+    /// [`finish`](IncrementalSession::finish).
     pub fn push(&mut self, bytes: &[u8]) -> Result<Vec<ProvisionalRace>, StreamError> {
         self.progress.bytes += bytes.len() as u64;
         self.progress.chunks += 1;
@@ -344,30 +324,37 @@ impl IncrementalSession {
         for i in 0..self.events.len() {
             match self.events[i] {
                 StreamEvent::TablesReady => {
-                    let trace = self.decoder.trace().expect("tables are ready");
-                    self.hb = Some(IncrementalHb::new(trace, self.opts.detector.causality)?);
+                    if self.opts.live {
+                        let trace = self.decoder.trace().expect("tables are ready");
+                        self.hb = Some(IncrementalHb::new(trace, self.opts.detector.causality)?);
+                    }
                 }
                 StreamEvent::Records { task, count } => {
-                    let trace = self.decoder.trace().expect("records imply tables");
-                    let hb = self.hb.as_mut().expect("records imply tables");
-                    hb.ingest(trace, task);
                     self.progress.records += count as u64;
-                    ingested += count;
+                    if let Some(hb) = self.hb.as_mut() {
+                        let trace = self.decoder.trace().expect("records imply tables");
+                        hb.ingest(trace, task);
+                        ingested += count;
+                    }
                 }
                 StreamEvent::BodyComplete { task } => {
-                    let trace = self.decoder.trace().expect("body implies tables");
-                    let hb = self.hb.as_mut().expect("body implies tables");
-                    hb.seal(trace, task);
                     self.progress.tasks_sealed += 1;
-                    sealed.push(task);
+                    if let Some(hb) = self.hb.as_mut() {
+                        let trace = self.decoder.trace().expect("body implies tables");
+                        hb.seal(trace, task);
+                        sealed.push(task);
+                    }
                 }
                 StreamEvent::End => {}
             }
         }
+        let mut found = Vec::new();
+        let Some(hb) = self.hb.as_mut() else {
+            return Ok(found);
+        };
         self.passes.accumulate("hb-ingest", t1.elapsed(), ingested);
 
-        let mut found = Vec::new();
-        if self.opts.live && !sealed.is_empty() {
+        if !sealed.is_empty() {
             // Extend the demand query index over the freshly sealed
             // suffix instead of materializing the fixpoint: the
             // watcher's queries settle only the cones they probe, so
@@ -376,12 +363,9 @@ impl IncrementalSession {
             // answers are computed without a topological order;
             // `finish` still reports the cycle authoritatively.)
             let t2 = Instant::now();
-            let demand_synced = self.hb.as_mut().map(|hb| {
-                hb.sync_demand();
-            });
+            hb.sync_demand();
             self.passes
                 .accumulate("hb-demand", t2.elapsed(), sealed.len());
-            debug_assert!(demand_synced.is_some(), "sealed tasks imply hb state");
             let t3 = Instant::now();
             for task in sealed {
                 self.watch_task(task, &mut found);
@@ -389,29 +373,7 @@ impl IncrementalSession {
             let emitted = found.len();
             self.passes.accumulate("watch", t3.elapsed(), emitted);
         }
-
-        if self.staging_bytes() > self.opts.high_water {
-            self.progress.backpressure_flushes += 1;
-            self.derive("hb-derive")?;
-        }
         Ok(found)
-    }
-
-    /// Extends the fixpoint now, folding the run into `passes` under
-    /// `pass`.
-    fn derive(&mut self, pass: &'static str) -> Result<(), StreamError> {
-        let Some(hb) = self.hb.as_mut() else {
-            return Ok(());
-        };
-        if hb.staged_records() == 0 {
-            return Ok(());
-        }
-        let t0 = Instant::now();
-        let staged = hb.staged_records();
-        hb.derive_now()?;
-        self.progress.derives = hb.derive_count();
-        self.passes.accumulate(pass, t0.elapsed(), staged);
-        Ok(())
     }
 
     /// Extracts the freshly sealed task's memory operations and pairs
@@ -463,42 +425,28 @@ impl IncrementalSession {
         }
     }
 
-    /// Completes the stream: validates the trace, finalizes the
-    /// incremental happens-before model, and runs the (unmodified)
-    /// detector against it. The report is identical to a batch
-    /// [`Analyzer::analyze`](cafa_core::Analyzer::analyze) of the same
-    /// trace.
+    /// Completes the stream: validates the trace and runs the
+    /// unmodified batch pipeline over it — a fresh
+    /// [`AnalysisSession`] through
+    /// [`Analyzer::analyze_with`](cafa_core::Analyzer::analyze_with),
+    /// island partitioning and demand queries included. The report is
+    /// therefore identical to a batch analysis of the same trace.
     ///
     /// # Errors
     ///
     /// [`StreamError::Read`] if the stream ended early or the trace is
     /// structurally invalid; [`StreamError::Hb`] if a happens-before
-    /// model cannot be built.
+    /// model cannot be built — in both cases the error batch analysis
+    /// of the same bytes returns.
     pub fn finish(self) -> Result<StreamOutcome, StreamError> {
-        let IncrementalSession {
-            hb,
-            decoder,
-            opts,
-            mut progress,
-            passes,
-            ..
-        } = self;
-        let trace = decoder.finish()?;
-        let report = {
-            let session = AnalysisSession::new(&trace);
-            if let Some(hb) = hb {
-                // Finalization runs one last fixpoint extension.
-                progress.derives = hb.derive_count() + 1;
-                let model = hb.into_model(&trace)?;
-                session.insert_model(model);
-            }
-            Analyzer::with_config(opts.detector).analyze_with(&session)?
-        };
+        let trace = self.decoder.finish()?;
+        let report = Analyzer::with_config(self.opts.detector)
+            .analyze_with(&AnalysisSession::new(&trace))?;
         Ok(StreamOutcome {
             trace,
             report,
-            progress,
-            passes,
+            progress: self.progress,
+            passes: self.passes,
         })
     }
 }
@@ -608,17 +556,49 @@ mod tests {
     }
 
     #[test]
-    fn high_water_mark_forces_flushes_without_changing_output() {
+    fn non_live_session_holds_no_happens_before_state() {
         let trace = racy_trace();
         let bytes = to_binary_vec(&trace);
-        let tight = StreamOptions {
-            high_water: 1,
-            ..StreamOptions::default()
-        };
-        let (out, _) = stream(&bytes, 8, tight);
-        assert!(out.progress.backpressure_flushes > 0);
-        let batch = Analyzer::new().analyze(&out.trace).unwrap();
-        assert_eq!(out.report.races, batch.races);
+        let mut s = IncrementalSession::new(StreamOptions::default());
+        for c in bytes.chunks(8) {
+            assert!(s.push(c).expect("valid stream").is_empty());
+            assert!(s.demand_stats().is_none());
+            assert_eq!(
+                s.footprint_bytes(),
+                s.decoder.buffered_bytes() + s.progress.records as usize * TRACE_RECORD_COST,
+                "footprint is the decoder buffer plus decoded records"
+            );
+        }
+        assert!(s.hb.is_none());
+        let out = s.finish().expect("valid trace");
+        assert_eq!(out.progress.derives, 0);
+        assert_eq!(out.progress.backpressure_flushes, 0);
+        let names: Vec<&str> = out.passes.records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["stream-decode"]);
+    }
+
+    #[test]
+    fn cyclic_stream_fails_at_finish_like_batch() {
+        // Crossed notify/wait generations: each thread waits for what
+        // the other notifies only after its own wait.
+        let mut b = TraceBuilder::new("cyclic");
+        let p = b.add_process();
+        let ta = b.add_thread(p, "a");
+        let tb = b.add_thread(p, "b");
+        let m = cafa_trace::MonitorId::new(0);
+        b.wait(ta, m, 2);
+        b.notify(ta, m, 1);
+        b.wait(tb, m, 1);
+        b.notify(tb, m, 2);
+        let trace = b.finish().unwrap();
+        let batch = Analyzer::new().analyze(&trace).expect_err("cyclic trace");
+        let mut s = IncrementalSession::new(StreamOptions::default());
+        s.push(&to_binary_vec(&trace))
+            .expect("decoding never derives");
+        match s.finish() {
+            Err(StreamError::Hb(e)) => assert_eq!(e.to_string(), batch.to_string()),
+            other => panic!("expected a typed hb error, got {other:?}"),
+        }
     }
 
     #[test]
