@@ -35,6 +35,9 @@ cargo test -p cafa-hb --test fixpoint_differential -q
 echo "==> demand engine differential suite (lazy queries vs eager reference)"
 cargo test -p cafa-hb --test demand_differential -q
 
+echo "==> vector-clock differential suite (clocks vs DFS, rule-free configs)"
+cargo test -p cafa-hb --test clocks_differential -q
+
 echo "==> partition differential suite (islanded vs monolithic, byte-identical)"
 cargo test -p cafa-core --test partition_differential -q
 

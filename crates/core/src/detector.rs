@@ -5,12 +5,12 @@
 //! `hb-build` (the CAFA happens-before fixpoint) → `candidates`
 //! (concurrent (use, free) pairs per pointer variable) → `filters`
 //! (lockset, if-guard, and intra-event-allocation suppression) →
-//! `baseline-hb` (the conventional model, built lazily and only when a
-//! cross-looper race needs classification) → `classify`. Per-pass wall
-//! time and item counts land in
-//! [`DetectStats::passes`](crate::report::DetectStats); shared state
-//! (memory ops, models) lives in the session so repeated analyses of
-//! one trace reuse it.
+//! `baseline-hb` (the conventional model, base edges plus one
+//! vector-clock sweep, built lazily and only when a cross-looper race
+//! needs classification) → `classify`. Per-pass wall time and item
+//! counts land in [`DetectStats::passes`](crate::report::DetectStats);
+//! shared state (memory ops, models) lives in the session so repeated
+//! analyses of one trace reuse it.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -243,11 +243,12 @@ impl Analyzer {
     /// Analyzes the session's trace, reusing whatever the session has
     /// already computed (memory ops, cached models).
     ///
-    /// The conventional classification baseline is built lazily: a
-    /// race-free trace — the common case in CLI use and property tests
-    /// — pays for one fixpoint, not two. Consequently a trace whose
-    /// conventional model cannot be built only fails here when a
-    /// cross-looper race actually needs it for classification.
+    /// The conventional classification baseline is built lazily, and
+    /// only when a cross-looper race needs it for classification. It
+    /// has no rules to derive, so it is a base graph plus one
+    /// vector-clock sweep, not a second fixpoint. Consequently a trace
+    /// whose conventional model cannot be built only fails here when a
+    /// cross-looper race actually needs it.
     ///
     /// # Errors
     ///

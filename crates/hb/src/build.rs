@@ -18,7 +18,7 @@ use crate::rules::SendSite;
 /// Builds the sync graph for `trace` and installs all base edges
 /// demanded by `config`.
 pub fn base_graph(trace: &Trace, config: &CausalityConfig) -> SyncGraph {
-    base_graph_with_sends(trace, config).0
+    build_base(trace, config, false).0
 }
 
 /// [`base_graph`] that also returns the trace's send sites, collected
@@ -27,6 +27,15 @@ pub fn base_graph(trace: &Trace, config: &CausalityConfig) -> SyncGraph {
 pub(crate) fn base_graph_with_sends(
     trace: &Trace,
     config: &CausalityConfig,
+) -> (SyncGraph, Vec<SendSite>) {
+    build_base(trace, config, true)
+}
+
+/// The shared sweep; `collect_sends` is off where no rule reads them.
+fn build_base(
+    trace: &Trace,
+    config: &CausalityConfig,
+    collect_sends: bool,
 ) -> (SyncGraph, Vec<SendSite>) {
     // Defer adjacency: every edge below goes only to the log, and one
     // compaction at the end builds the flat CSR — on large traces the
@@ -64,24 +73,24 @@ pub(crate) fn base_graph_with_sends(
             } => {
                 let n = g.node_of(at).expect("send is a sync record");
                 g.add_edge(n, g.begin(event), EdgeKind::Send);
-                sends.push(SendSite {
+                sends.extend(collect_sends.then_some(SendSite {
                     node: n,
                     event,
                     queue,
                     delay_ms,
                     front: false,
-                });
+                }));
             }
             Record::SendAtFront { event, queue } => {
                 let n = g.node_of(at).expect("send is a sync record");
                 g.add_edge(n, g.begin(event), EdgeKind::Send);
-                sends.push(SendSite {
+                sends.extend(collect_sends.then_some(SendSite {
                     node: n,
                     event,
                     queue,
                     delay_ms: 0,
                     front: true,
-                });
+                }));
             }
             Record::Notify { monitor, gen } => notifies.entry((monitor, gen)).or_default().push(at),
             Record::Wait { monitor, gen } => waits.entry((monitor, gen)).or_default().push(at),

@@ -333,7 +333,7 @@ impl SyncGraph {
 
     /// The compacted successor slice of `n` (empty when `n` postdates
     /// the last compaction).
-    fn csr_succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
+    pub(crate) fn csr_succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
         let Some(c) = &self.csr else {
             panic!("adjacency queried on a deferred graph (missing compact())");
         };
@@ -345,7 +345,7 @@ impl SyncGraph {
     }
 
     /// The compacted predecessor slice of `n`.
-    fn csr_preds(&self, n: NodeId) -> &[NodeId] {
+    pub(crate) fn csr_preds(&self, n: NodeId) -> &[NodeId] {
         let Some(c) = &self.csr else {
             panic!("adjacency queried on a deferred graph (missing compact())");
         };
@@ -354,6 +354,14 @@ impl SyncGraph {
             return &[];
         }
         &c.pred[c.pred_off[i] as usize..c.pred_off[i + 1] as usize]
+    }
+
+    /// Per-node in-degree, read off the compacted CSR offsets.
+    pub(crate) fn in_degrees(&self) -> Vec<u32> {
+        let Some(c) = &self.csr else {
+            panic!("adjacency queried on a deferred graph (missing compact())");
+        };
+        c.pred_off.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// The chronological edge log: every edge of the graph, in the

@@ -19,8 +19,10 @@
 //! Because the atomicity and queue rules consume happens-before facts
 //! they also produce, the model is computed as a fixpoint over an
 //! operation-level sync graph ([`SyncGraph`]), then exposed through
-//! [`HbModel`] for queries. [`CausalityConfig`] selects between the CAFA
-//! model, the paper's conventional baseline, and ablations.
+//! [`HbModel`] for queries; a config without those rules needs no
+//! fixpoint and is answered by vector clocks. [`CausalityConfig`]
+//! selects between the CAFA model, the paper's conventional baseline,
+//! and ablations.
 //!
 //! # Examples
 //!
@@ -54,6 +56,7 @@
 
 pub mod bitset;
 mod build;
+mod clocks;
 mod config;
 mod demand;
 pub mod dot;
@@ -64,7 +67,6 @@ mod locks;
 mod model;
 pub mod oracle;
 mod rules;
-pub mod vc_online;
 
 pub use build::base_graph;
 pub use config::CausalityConfig;

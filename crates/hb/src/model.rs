@@ -5,7 +5,8 @@ use std::sync::{Mutex, OnceLock};
 use cafa_trace::{OpRef, TaskId, Trace};
 
 use crate::bitset::BitSet;
-use crate::build::base_graph_with_sends;
+use crate::build::{base_graph, base_graph_with_sends};
+use crate::clocks::Clocks;
 use crate::config::CausalityConfig;
 use crate::demand::{DemandCore, DemandStats};
 use crate::error::HbError;
@@ -18,6 +19,11 @@ use crate::rules::{fixpoint, flow, DerivationStats, EventTable, FixpointState};
 /// quadratic memory) to the demand-driven engine. Overridable with
 /// `CAFA_HB_ENGINE=eager|demand`.
 const DEMAND_AUTO_THRESHOLD: usize = 32_768;
+
+/// Does `config` derive nothing beyond its base edges?
+fn rule_free(config: &CausalityConfig) -> bool {
+    !config.atomicity_rule && !config.queue_rules
+}
 
 /// Engine choice for a build of `ev_count` events.
 fn use_demand(ev_count: usize) -> bool {
@@ -56,10 +62,12 @@ pub struct CauseStep {
 /// A happens-before model of one trace under one [`CausalityConfig`].
 ///
 /// Building a model constructs the sync graph, installs the base causal
-/// edges, runs the atomicity/queue-rule fixpoint of §3.3, and
-/// precomputes the event-level order relation. Queries are then cheap:
-/// event-level lookups are bit tests and operation-level queries are a
-/// bounded graph search.
+/// edges, and prepares one of three backends for the atomicity and
+/// queue rules of §3.3: an eager fixpoint with the event-order closure
+/// as a bit matrix, a demand engine that settles rules per query, or —
+/// when the config has neither rule — vector clocks over the base
+/// edges, which answer every query by a position compare or a binary
+/// search.
 ///
 /// # Examples
 ///
@@ -90,11 +98,15 @@ pub struct HbModel<'t> {
     graph: SyncGraph,
     table: EventTable,
     stats: DerivationStats,
-    topo: Vec<NodeId>,
     backend: Backend,
+    /// Lazily built constant-time reachability index over `graph`, on
+    /// the backends whose graph holds the whole relation (eager and
+    /// clocks). Answers are identical either way, so building it never
+    /// changes a report.
+    oracle: OnceLock<Box<ReachOracle>>,
 }
 
-/// How a model answers derived-order queries. Both backends compute the
+/// How a model answers derived-order queries. All backends compute the
 /// same least fixpoint of the §3.3 rules, so every query answers
 /// identically; they differ only in when the work happens.
 #[derive(Debug)]
@@ -104,10 +116,8 @@ enum Backend {
     Eager {
         /// Per dense event `e`: events `e'` with `end(e') ≺ begin(e)`.
         before_begin: Vec<BitSet>,
-        /// Lazily built constant-time reachability index; once present,
-        /// operation-level queries skip the DFS. Answers are identical
-        /// either way, so building it never changes a report.
-        oracle: OnceLock<Box<ReachOracle>>,
+        /// A topological order of the graph, for batch sweeps.
+        topo: Vec<NodeId>,
     },
     /// Rules evaluated lazily per query (see `demand.rs`); the
     /// graph holds only base edges. The mutex keeps the model `Sync`
@@ -115,13 +125,16 @@ enum Backend {
     /// pure functions of the unique least fixpoint, so results do not
     /// depend on thread count or interleaving.
     Demand(Box<Mutex<DemandCore>>),
+    /// No rules to derive: the graph holds the whole relation and
+    /// vector clocks answer it (see `clocks.rs`).
+    Clocks(Clocks),
 }
 
 impl Backend {
     fn demand(&self) -> Option<std::sync::MutexGuard<'_, DemandCore>> {
         match self {
             Backend::Demand(core) => Some(core.lock().unwrap_or_else(|poison| poison.into_inner())),
-            Backend::Eager { .. } => None,
+            _ => None,
         }
     }
 }
@@ -129,11 +142,23 @@ impl Backend {
 impl<'t> HbModel<'t> {
     /// Builds the model for `trace` under `config`.
     ///
+    /// A config with neither the atomicity nor the queue rules (the
+    /// conventional baseline, the FastTrack-style ablation, CAFA's bare
+    /// base edges) always gets the vector-clock backend, whatever
+    /// `CAFA_HB_ENGINE` says: its relation is reachability over the
+    /// base edges, which one forward sweep answers exactly. Otherwise
+    /// traces below [`DEMAND_AUTO_THRESHOLD`] events get the eager
+    /// fixpoint and larger ones the demand engine, unless
+    /// `CAFA_HB_ENGINE=eager|demand` picks.
+    ///
     /// # Errors
     ///
     /// Returns [`HbError`] if the trace implies a cyclic happens-before
     /// relation or the rule fixpoint diverges.
     pub fn build(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
+        if rule_free(&config) {
+            return Self::build_clocks(trace, config);
+        }
         let table = EventTable::new(trace)?;
         if use_demand(table.len()) {
             return Self::build_demand(trace, config);
@@ -143,21 +168,42 @@ impl<'t> HbModel<'t> {
 
     /// Builds the model preferring the demand-driven backend whatever
     /// the event count (an explicit `CAFA_HB_ENGINE=eager` still
-    /// wins). Island-partitioned analysis projects a fleet trace into
-    /// sub-traces that each fall below [`DEMAND_AUTO_THRESHOLD`], yet
-    /// keep the many-small-islands shape the lazy engine dominates on
-    /// — the per-event heuristic of [`build`](HbModel::build)
-    /// mispredicts there by an order of magnitude.
+    /// wins); rule-free configs get vector clocks, as in
+    /// [`build`](HbModel::build). Island-partitioned analysis projects
+    /// a fleet trace into sub-traces that each fall below
+    /// [`DEMAND_AUTO_THRESHOLD`], yet keep the many-small-islands shape
+    /// the lazy engine dominates on — the per-event heuristic of
+    /// [`build`](HbModel::build) mispredicts there by an order of
+    /// magnitude.
     ///
     /// # Errors
     ///
     /// Returns [`HbError`] if the trace implies a cyclic happens-before
     /// relation or the rule fixpoint diverges.
     pub fn build_islanded(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
+        if rule_free(&config) {
+            return Self::build_clocks(trace, config);
+        }
         match std::env::var("CAFA_HB_ENGINE").ok().as_deref() {
             Some("eager") => Self::build_eager(trace, config),
             _ => Self::build_demand(trace, config),
         }
+    }
+
+    /// Builds a rule-free model on the vector-clock backend.
+    fn build_clocks(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
+        let graph = base_graph(trace, &config);
+        let clocks = Clocks::build(&graph, trace, config.total_event_order)
+            .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
+        Ok(Self {
+            trace,
+            config,
+            graph,
+            table: EventTable::new(trace)?,
+            stats: DerivationStats::default(),
+            backend: Backend::Clocks(clocks),
+            oracle: OnceLock::new(),
+        })
     }
 
     /// Builds a model with the eager backend regardless of trace size
@@ -182,7 +228,7 @@ impl<'t> HbModel<'t> {
     #[doc(hidden)]
     pub fn build_demand(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
         let (graph, sends) = base_graph_with_sends(trace, &config);
-        let topo = graph
+        graph
             .topo_order()
             .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
         let table = EventTable::new(trace)?;
@@ -194,8 +240,8 @@ impl<'t> HbModel<'t> {
             graph,
             table,
             stats: DerivationStats::default(),
-            topo,
             backend: Backend::Demand(Box::new(Mutex::new(core))),
+            oracle: OnceLock::new(),
         })
     }
 
@@ -241,11 +287,8 @@ impl<'t> HbModel<'t> {
             graph,
             table,
             stats,
-            topo,
-            backend: Backend::Eager {
-                before_begin,
-                oracle: OnceLock::new(),
-            },
+            backend: Backend::Eager { before_begin, topo },
+            oracle: OnceLock::new(),
         })
     }
 
@@ -255,6 +298,10 @@ impl<'t> HbModel<'t> {
     /// [`happens_before`](HbModel::happens_before) queries use the
     /// index instead of a DFS.
     ///
+    /// On the clocks backend the graph holds the whole rule-free
+    /// relation, so the oracle is built over it on request; the clocks
+    /// themselves never need it.
+    ///
     /// # Panics
     ///
     /// Panics on a demand-backend model: its graph holds only base
@@ -262,40 +309,40 @@ impl<'t> HbModel<'t> {
     /// orders. Use [`ensure_reachability`](HbModel::ensure_reachability)
     /// for backend-agnostic preparation.
     pub fn ensure_oracle(&self, threads: usize) -> &ReachOracle {
-        match &self.backend {
-            Backend::Eager { oracle, .. } => oracle.get_or_init(|| {
-                Box::new(ReachOracle::build_with_topo(
-                    &self.graph,
-                    &self.topo,
-                    threads,
-                ))
-            }),
-            Backend::Demand(_) => {
-                panic!("ensure_oracle is eager-only; demand models answer queries lazily")
-            }
-        }
+        self.oracle.get_or_init(|| {
+            Box::new(match &self.backend {
+                Backend::Eager { topo, .. } => {
+                    ReachOracle::build_with_topo(&self.graph, topo, threads)
+                }
+                // The clock sweep already rejected cyclic graphs.
+                Backend::Clocks(_) => {
+                    ReachOracle::build(&self.graph, threads).expect("clocks graph is acyclic")
+                }
+                Backend::Demand(_) => {
+                    panic!("ensure_oracle needs derived edges; demand models answer queries lazily")
+                }
+            })
+        })
     }
 
     /// Prepares whatever reachability index the backend uses for bulk
     /// operation-level queries and reports its node coverage: the
     /// [`ReachOracle`] (built with `threads` workers) on the eager
     /// backend; a no-op on the demand backend, whose queries settle
-    /// their own cones. Both return the graph's node count, so pass
-    /// accounting is backend-independent.
+    /// their own cones, and on the clocks backend, whose sweep already
+    /// ran. All return the graph's node count, so pass accounting is
+    /// backend-independent.
     pub fn ensure_reachability(&self, threads: usize) -> usize {
-        match &self.backend {
-            Backend::Eager { .. } => self.ensure_oracle(threads).node_count(),
-            Backend::Demand(_) => self.graph.node_count(),
+        if let Backend::Eager { .. } = self.backend {
+            self.ensure_oracle(threads);
         }
+        self.graph.node_count()
     }
 
     /// The reachability index, if [`ensure_oracle`](HbModel::ensure_oracle)
     /// has been called (never on the demand backend).
     pub fn oracle(&self) -> Option<&ReachOracle> {
-        match &self.backend {
-            Backend::Eager { oracle, .. } => oracle.get().map(Box::as_ref),
-            Backend::Demand(_) => None,
-        }
+        self.oracle.get().map(Box::as_ref)
     }
 
     /// Work counters of the demand engine, when this model uses it.
@@ -343,6 +390,9 @@ impl<'t> HbModel<'t> {
                 let mut core = self.backend.demand().expect("demand backend");
                 core.event_before(&self.graph, i1, i2)
             }
+            Backend::Clocks(clocks) => {
+                clocks.reaches(&self.graph, self.graph.end(e1), self.graph.begin(e2))
+            }
         }
     }
 
@@ -367,19 +417,13 @@ impl<'t> HbModel<'t> {
         if a.task == b.task {
             return a.index < b.index;
         }
-        let Backend::Eager {
-            before_begin,
-            oracle,
-        } = &self.backend
-        else {
-            let from = self.graph.bracket_after(a);
-            let to = self.graph.bracket_before(b);
-            let mut core = self.backend.demand().expect("demand backend");
-            return core.reaches(&self.graph, from, to);
-        };
         // Event-level fast path: full order between the containing events
         // orders every operation pair.
-        if let (Some(i1), Some(i2)) = (self.table.dense(a.task), self.table.dense(b.task)) {
+        if let (Backend::Eager { before_begin, .. }, Some(i1), Some(i2)) = (
+            &self.backend,
+            self.table.dense(a.task),
+            self.table.dense(b.task),
+        ) {
             if before_begin[i2 as usize].contains(i1 as usize) {
                 return true;
             }
@@ -388,13 +432,27 @@ impl<'t> HbModel<'t> {
             // like send≺begin are not captured by the matrix, so fall
             // through to the graph search.
         }
-        let from = self.graph.bracket_after(a);
-        let to = self.graph.bracket_before(b);
-        if let Some(oracle) = oracle.get() {
-            return oracle.reaches(from, to);
+        self.reaches(self.graph.bracket_after(a), self.graph.bracket_before(b))
+    }
+
+    /// Is there a non-empty path `from → to` between two sync nodes of
+    /// [`graph`](HbModel::graph) under the model's relation, derived
+    /// orders included? Irreflexive, since the relation is acyclic.
+    pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
+        match &self.backend {
+            Backend::Clocks(clocks) => clocks.reaches(&self.graph, from, to),
+            Backend::Demand(_) => {
+                let mut core = self.backend.demand().expect("demand backend");
+                core.reaches(&self.graph, from, to)
+            }
+            Backend::Eager { .. } => match self.oracle.get() {
+                Some(oracle) => oracle.reaches(from, to),
+                None => {
+                    let mut scratch = BitSet::new(self.graph.node_count());
+                    self.graph.reaches(from, to, &mut scratch)
+                }
+            },
         }
-        let mut scratch = BitSet::new(self.graph.node_count());
-        self.graph.reaches(from, to, &mut scratch)
     }
 
     /// Classifies the relative order of two operations.
@@ -475,10 +533,10 @@ impl<'t> HbModel<'t> {
     /// source and any `b` — the detector uses this with all use/free
     /// sites as sources.
     pub fn batch(&self, sources: &[OpRef]) -> BatchReach<'_, 't> {
-        if matches!(self.backend, Backend::Demand(_)) {
-            // The flow sweep below reads the materialized relation; the
-            // demand backend answers each pair through its query engine
-            // instead (still one settled fixpoint — just no bulk index).
+        let Backend::Eager { topo, .. } = &self.backend else {
+            // The flow sweep below pays off against an eager model's
+            // DFS; the demand engine and the clocks answer each pair
+            // through their own query path instead.
             return BatchReach {
                 model: self,
                 sources: sources.to_vec(),
@@ -486,7 +544,7 @@ impl<'t> HbModel<'t> {
                 acc: Vec::new(),
                 pointwise: true,
             };
-        }
+        };
         let mut marks: Vec<Option<u32>> = vec![None; self.graph.node_count()];
         // Multiple sources may share a bracket node; give each node the
         // list position of one representative and remap afterwards.
@@ -504,7 +562,7 @@ impl<'t> HbModel<'t> {
             });
             node_group.push(g);
         }
-        let acc = flow(&self.graph, &self.topo, &marks, group_count as usize);
+        let acc = flow(&self.graph, topo, &marks, group_count as usize);
         BatchReach {
             model: self,
             sources: sources.to_vec(),
@@ -522,7 +580,7 @@ pub struct BatchReach<'m, 't> {
     sources: Vec<OpRef>,
     group: Vec<u32>,
     acc: Vec<BitSet>,
-    /// Demand-backend mode: answer per pair via the query engine.
+    /// Demand or clocks backend: answer per pair via the model.
     pointwise: bool,
 }
 
