@@ -44,6 +44,9 @@ cargo test -p cafa-core --test partition_differential -q
 echo "==> predictive differential suite (predictive ⊆ HB, byte-stable, hb section untouched)"
 cargo test -p cafa-predict --test predictive_differential -q
 
+echo "==> decode equivalence suite (read_binary vs from_binary_slice vs StreamDecoder chunkings)"
+cargo test -p cafa-trace --test decode_equivalence -q
+
 echo "==> scale sweep smoke (demand engine, 100k tier)"
 ./target/release/analysis_scaling --scale --quick > /dev/null
 

@@ -829,6 +829,14 @@ fn follow_trace(path: &str, poll_ms: u64) -> Result<Trace, String> {
             .push(&buf[..n])
             .map_err(|e| format!("reading {path}: {e}"))?;
     }
+    // Bytes already in the file past the trace's end are an error, as
+    // in batch mode, wherever the last read happened to stop.
+    let n = file
+        .read(&mut buf)
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    decoder
+        .push(&buf[..n])
+        .map_err(|e| format!("reading {path}: {e}"))?;
     decoder.finish().map_err(|e| format!("reading {path}: {e}"))
 }
 

@@ -164,8 +164,8 @@ fn analyze_json_is_machine_readable() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Runs `cafa serve` with `input` piped to stdin, returning stdout.
-fn serve_stdin(args: &[&str], input: &[u8]) -> String {
+/// Runs `cafa serve` with `input` piped to stdin.
+fn serve_stdin_output(args: &[&str], input: &[u8]) -> Output {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_cafa"))
@@ -182,13 +182,52 @@ fn serve_stdin(args: &[&str], input: &[u8]) -> String {
         .expect("piped stdin")
         .write_all(input)
         .expect("stdin accepts the trace");
-    let out = child.wait_with_output().expect("serve finishes");
+    child.wait_with_output().expect("serve finishes")
+}
+
+/// Runs `cafa serve` with `input` piped to stdin, returning stdout.
+fn serve_stdin(args: &[&str], input: &[u8]) -> String {
+    let out = serve_stdin_output(args, input);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     stdout(&out)
+}
+
+/// One byte after the end of a binary trace is an error in every mode:
+/// batch, `--follow` and `serve` report the same message and offset.
+#[test]
+fn trailing_bytes_fail_in_batch_follow_and_serve() {
+    let path = tmp("trailing.bin");
+    assert!(cafa(&[
+        "record",
+        "connectbot",
+        "--format",
+        "binary",
+        "--out",
+        path.to_str().unwrap()
+    ])
+    .status
+    .success());
+    let mut bytes = std::fs::read(&path).unwrap();
+    let expected = format!(
+        "parse error at {}: unexpected data after end of trace",
+        bytes.len()
+    );
+    bytes.push(0x01);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let batch = cafa(&["analyze", path.to_str().unwrap()]);
+    let follow = cafa(&["analyze", path.to_str().unwrap(), "--follow"]);
+    let serve = serve_stdin_output(&[], &bytes);
+    for (mode, out) in [("batch", batch), ("--follow", follow), ("serve", serve)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{mode} accepted trailing bytes");
+        assert!(stderr.contains(&expected), "{mode}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -508,9 +508,9 @@ mod tests {
         let p = b.add_process();
         let q = b.add_queue(p);
         let t = b.add_thread(p, "main");
-        let _orphan = b.post(t, q, "ev", 0);
+        let orphan = b.post(t, q, "ev", 0);
         let err = b.finish().unwrap_err();
-        assert!(matches!(err, TraceError::UnprocessedEvent { .. }));
+        assert_eq!(err, TraceError::UnprocessedEvent { event: orphan });
     }
 
     #[test]

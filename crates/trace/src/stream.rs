@@ -9,22 +9,19 @@
 //! except chunk-local [`Records`](StreamEvent::Records) coalescing — is
 //! independent of how the stream was chunked.
 //!
-//! Error behavior matches the batch readers: parse errors carry the same
-//! global byte offset (binary) or line number (text) that
-//! [`read_binary`](crate::read_binary) / [`read_text`](crate::read_text)
-//! would report, and a stream truncated mid-item fails at
-//! [`finish`](StreamDecoder::finish) with the same error a batch read of
-//! the truncated bytes produces.
+//! Binary input goes through the one binary parser, the same one
+//! [`read_binary`](crate::read_binary) and
+//! [`from_binary_slice`](crate::from_binary_slice) drive, so parse
+//! errors carry the same global byte offset a batch read reports, and a
+//! stream truncated mid-item fails at [`finish`](StreamDecoder::finish)
+//! with the same error. Text errors carry the line number
+//! [`read_text`](crate::read_text) would report.
 
-use std::io::{ErrorKind, Read};
-
-use crate::binary::{self, Reader, BINARY_VERSION, MAGIC, MAX_BODY_LEN};
+use crate::binary::{BinaryDecoder, MAGIC};
 use crate::error::ReadError;
-use crate::ids::{NameId, ProcessId, QueueId, TaskId};
-use crate::interner::Interner;
+use crate::ids::TaskId;
 use crate::serialize::{TextAssembler, TextStep};
-use crate::task::{EventOrigin, ListenerInfo, QueueInfo, TaskInfo, TaskKind};
-use crate::trace::{Trace, TraceMeta};
+use crate::trace::Trace;
 use crate::validate::validate;
 
 /// An incremental milestone reported by [`StreamDecoder::push`].
@@ -52,15 +49,16 @@ pub enum StreamEvent {
     End,
 }
 
-/// Coalesces consecutive record appends for one task into one event.
-fn note_records(events: &mut Vec<StreamEvent>, task: TaskId) {
-    if let Some(StreamEvent::Records { task: t, count }) = events.last_mut() {
+/// Notes `count` records appended to `task`, coalescing consecutive
+/// appends for one task into one event.
+pub(crate) fn note_records(events: &mut Vec<StreamEvent>, task: TaskId, count: usize) {
+    if let Some(StreamEvent::Records { task: t, count: c }) = events.last_mut() {
         if *t == task {
-            *count += 1;
+            *c += count;
             return;
         }
     }
-    events.push(StreamEvent::Records { task, count: 1 });
+    events.push(StreamEvent::Records { task, count });
 }
 
 /// A chunked trace decoder with resumable state.
@@ -83,7 +81,7 @@ enum Inner {
     /// No bytes seen yet; the first byte picks the format.
     #[default]
     Sniff,
-    Binary(BinDecoder),
+    Binary(BinaryDecoder),
     Text(TextDecoder),
 }
 
@@ -125,14 +123,14 @@ impl StreamDecoder {
             // (and every text directive or comment) never starts with an
             // uppercase 'C'.
             self.inner = if first == MAGIC[0] {
-                Inner::Binary(BinDecoder::new())
+                Inner::Binary(BinaryDecoder::default())
             } else {
                 Inner::Text(TextDecoder::new())
             };
         }
         match &mut self.inner {
             Inner::Sniff => Ok(()),
-            Inner::Binary(d) => d.push(bytes, events),
+            Inner::Binary(d) => d.push(bytes, Some(events)),
             Inner::Text(d) => d.push(bytes, events),
         }
     }
@@ -145,7 +143,7 @@ impl StreamDecoder {
     pub fn trace(&self) -> Option<&Trace> {
         match &self.inner {
             Inner::Sniff => None,
-            Inner::Binary(d) => d.trace.as_ref(),
+            Inner::Binary(d) => d.trace(),
             Inner::Text(d) => d.asm.trace(),
         }
     }
@@ -154,7 +152,7 @@ impl StreamDecoder {
     pub fn is_complete(&self) -> bool {
         match &self.inner {
             Inner::Sniff => false,
-            Inner::Binary(d) => matches!(d.state, BinState::Done),
+            Inner::Binary(d) => d.is_complete(),
             Inner::Text(d) => d.asm.is_done(),
         }
     }
@@ -162,12 +160,13 @@ impl StreamDecoder {
     /// Bytes buffered waiting for the current item to complete.
     ///
     /// This is the decoder's only unbounded-input exposure and it is
-    /// small by construction: at most one partial record, table entry, or
-    /// line, plus any bytes of the last chunk not yet parsed.
+    /// small by construction: pushed bytes are parsed in place, and only
+    /// the partial record, table entry, string or line at the end of the
+    /// last push is kept.
     pub fn buffered_bytes(&self) -> usize {
         match &self.inner {
             Inner::Sniff => 0,
-            Inner::Binary(d) => d.buf.len(),
+            Inner::Binary(d) => d.buffered_bytes(),
             Inner::Text(d) => d.buf.len(),
         }
     }
@@ -180,395 +179,15 @@ impl StreamDecoder {
     /// read of the received bytes would produce; if the trace is
     /// structurally invalid, returns [`ReadError::Invalid`].
     pub fn finish(self) -> Result<Trace, ReadError> {
-        let trace = match self.inner {
-            Inner::Sniff => return Err(ReadError::parse(0, "empty input")),
-            Inner::Binary(d) => d.finish()?,
-            Inner::Text(d) => d.finish()?,
-        };
-        validate(&trace)?;
-        Ok(trace)
-    }
-}
-
-// ---- binary -------------------------------------------------------------
-
-/// Which item of the binary layout is expected next.
-#[derive(Clone, Copy, Debug)]
-enum BinState {
-    /// Magic, version, and the fixed meta fields.
-    Header,
-    NameCount,
-    Name {
-        index: usize,
-        total: usize,
-    },
-    QueueCount,
-    Queue {
-        remaining: usize,
-    },
-    ListenerCount,
-    Listener {
-        remaining: usize,
-    },
-    TaskCount,
-    Task {
-        remaining: usize,
-    },
-    BodyLen {
-        task: usize,
-    },
-    Record {
-        task: usize,
-        remaining: usize,
-    },
-    Done,
-}
-
-#[derive(Debug)]
-struct BinDecoder {
-    /// Unparsed tail of the stream (the current incomplete item).
-    buf: Vec<u8>,
-    /// Global offset of `buf[0]`; keeps error offsets batch-identical.
-    consumed: u64,
-    state: BinState,
-    // Tables staged until all are decoded, then moved into `trace`.
-    meta: TraceMeta,
-    names: Interner,
-    queues: Vec<QueueInfo>,
-    listeners: Vec<ListenerInfo>,
-    tasks: Vec<TaskInfo>,
-    external: Vec<(u32, TaskId)>,
-    task_count: usize,
-    process_count: u32,
-    trace: Option<Trace>,
-}
-
-impl BinDecoder {
-    fn new() -> Self {
-        Self {
-            buf: Vec::new(),
-            consumed: 0,
-            state: BinState::Header,
-            meta: TraceMeta::default(),
-            names: Interner::new(),
-            queues: Vec::new(),
-            listeners: Vec::new(),
-            tasks: Vec::new(),
-            external: Vec::new(),
-            task_count: 0,
-            process_count: 0,
-            trace: None,
-        }
-    }
-
-    fn push(&mut self, bytes: &[u8], events: &mut Vec<StreamEvent>) -> Result<(), ReadError> {
-        self.buf.extend_from_slice(bytes);
-        let buf = std::mem::take(&mut self.buf);
-        let mut pos = 0usize;
-        let mut result = Ok(());
-        while !matches!(self.state, BinState::Done) {
-            match self.step(&buf[pos..], events) {
-                Ok(n) => {
-                    pos += n;
-                    self.consumed += n as u64;
-                }
-                // The input slice can only fail with EOF: the item needs
-                // bytes that have not arrived yet. Rewind (nothing was
-                // consumed) and wait for the next chunk.
-                Err(ReadError::Io(ref e)) if e.kind() == ErrorKind::UnexpectedEof => break,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+        match self.inner {
+            Inner::Sniff => Err(ReadError::parse(0, "empty input")),
+            Inner::Binary(d) => d.finish(),
+            Inner::Text(d) => {
+                let trace = d.finish()?;
+                validate(&trace)?;
+                Ok(trace)
             }
         }
-        self.buf = buf;
-        self.buf.drain(..pos);
-        if result.is_ok() && matches!(self.state, BinState::Done) && !self.buf.is_empty() {
-            result = Err(ReadError::parse(
-                self.consumed,
-                "unexpected data after end of trace",
-            ));
-        }
-        result
-    }
-
-    /// Attempts to parse exactly one item of the current state from
-    /// `data`, returning how many bytes it consumed.
-    ///
-    /// The parsing logic mirrors [`read_binary`](crate::read_binary) item
-    /// for item, with the reader anchored at the item's global offset so
-    /// errors are positioned identically.
-    fn step(&mut self, data: &[u8], events: &mut Vec<StreamEvent>) -> Result<usize, ReadError> {
-        let base = self.consumed;
-        let mut r = Reader::new_at(data, base);
-        match self.state {
-            BinState::Header => {
-                let mut magic = [0u8; 4];
-                r.input.read_exact(&mut magic)?;
-                r.offset += 4;
-                if &magic != MAGIC {
-                    return Err(ReadError::parse(0, "bad magic; not a cafa binary trace"));
-                }
-                let version = r.u32()?;
-                if version != BINARY_VERSION {
-                    return Err(ReadError::UnsupportedVersion { found: version });
-                }
-                self.meta.app = r.string()?;
-                self.meta.seed = r.u64()?;
-                self.meta.virtual_ms = r.u64()?;
-                self.process_count = r.u32()?;
-                self.state = BinState::NameCount;
-            }
-            BinState::NameCount => {
-                let total = binary::table_count(&mut r, "name")?;
-                self.state = if total == 0 {
-                    BinState::QueueCount
-                } else {
-                    BinState::Name { index: 0, total }
-                };
-            }
-            BinState::Name { index, total } => {
-                let s = r.string()?;
-                let id = self.names.intern(&s);
-                if id.index() != index {
-                    return Err(ReadError::parse(r.offset, "duplicate interned string"));
-                }
-                self.state = if index + 1 == total {
-                    BinState::QueueCount
-                } else {
-                    BinState::Name {
-                        index: index + 1,
-                        total,
-                    }
-                };
-            }
-            BinState::QueueCount => {
-                let total = binary::table_count(&mut r, "queue")?;
-                self.queues.reserve(total.min(1 << 16));
-                self.state = if total == 0 {
-                    BinState::ListenerCount
-                } else {
-                    BinState::Queue { remaining: total }
-                };
-            }
-            BinState::Queue { remaining } => {
-                let p = r.u32()?;
-                let process = if p == 0 {
-                    None
-                } else {
-                    Some(ProcessId::new(p - 1))
-                };
-                self.queues.push(QueueInfo {
-                    process,
-                    events: Vec::new(),
-                });
-                self.state = if remaining == 1 {
-                    BinState::ListenerCount
-                } else {
-                    BinState::Queue {
-                        remaining: remaining - 1,
-                    }
-                };
-            }
-            BinState::ListenerCount => {
-                let total = binary::table_count(&mut r, "listener")?;
-                self.listeners.reserve(total.min(1 << 16));
-                self.state = if total == 0 {
-                    BinState::TaskCount
-                } else {
-                    BinState::Listener { remaining: total }
-                };
-            }
-            BinState::Listener { remaining } => {
-                self.listeners.push(ListenerInfo {
-                    package: NameId::new(r.u32()?),
-                });
-                self.state = if remaining == 1 {
-                    BinState::TaskCount
-                } else {
-                    BinState::Listener {
-                        remaining: remaining - 1,
-                    }
-                };
-            }
-            BinState::TaskCount => {
-                let total = binary::table_count(&mut r, "task")?;
-                self.task_count = total;
-                self.tasks.reserve(total.min(1 << 16));
-                if total == 0 {
-                    self.tables_ready(events);
-                } else {
-                    self.state = BinState::Task { remaining: total };
-                }
-            }
-            BinState::Task { remaining } => {
-                self.read_task(&mut r)?;
-                if remaining == 1 {
-                    self.tables_ready(events);
-                } else {
-                    self.state = BinState::Task {
-                        remaining: remaining - 1,
-                    };
-                }
-            }
-            BinState::BodyLen { task } => {
-                let len = r.u64()?;
-                if len > MAX_BODY_LEN {
-                    return Err(ReadError::parse(r.offset, "implausible body length"));
-                }
-                let len = len as usize;
-                let trace = self.trace.as_mut().expect("tables are ready");
-                trace.bodies[task] = Vec::with_capacity(len.min(1 << 16));
-                if len == 0 {
-                    events.push(StreamEvent::BodyComplete {
-                        task: TaskId::from_usize(task),
-                    });
-                    self.next_body(task, events);
-                } else {
-                    self.state = BinState::Record {
-                        task,
-                        remaining: len,
-                    };
-                }
-            }
-            BinState::Record { task, remaining } => {
-                let rec = binary::read_record(&mut r)?;
-                let trace = self.trace.as_mut().expect("tables are ready");
-                trace.bodies[task].push(rec);
-                let task_id = TaskId::from_usize(task);
-                note_records(events, task_id);
-                if remaining == 1 {
-                    events.push(StreamEvent::BodyComplete { task: task_id });
-                    self.next_body(task, events);
-                } else {
-                    self.state = BinState::Record {
-                        task,
-                        remaining: remaining - 1,
-                    };
-                }
-            }
-            BinState::Done => {
-                return Err(ReadError::parse(base, "unexpected data after end of trace"))
-            }
-        }
-        Ok((r.offset - base) as usize)
-    }
-
-    /// Decodes one task-table entry, mirroring the batch reader.
-    ///
-    /// All decoder-state mutations happen only after the entry has fully
-    /// parsed: a partially-received entry fails with `UnexpectedEof` and
-    /// is re-attempted from scratch on the next chunk, so mid-entry side
-    /// effects would be applied twice.
-    fn read_task(&mut self, r: &mut Reader<&[u8]>) -> Result<(), ReadError> {
-        let i = self.tasks.len();
-        let id = TaskId::from_usize(i);
-        let kind = match r.byte()? {
-            0 => {
-                let process = ProcessId::new(r.u32()?);
-                let forked_at = match r.byte()? {
-                    0 => None,
-                    1 => Some(r.opref()?),
-                    b => return Err(ReadError::parse(r.offset, format!("bad fork flag {b}"))),
-                };
-                TaskKind::Thread { process, forked_at }
-            }
-            1 => {
-                let queue = QueueId::new(r.u32()?);
-                let seq = r.u32()?;
-                let delay_ms = r.u64()?;
-                let origin = match r.byte()? {
-                    0 => EventOrigin::Sent { send: r.opref()? },
-                    1 => EventOrigin::SentAtFront { send: r.opref()? },
-                    2 => EventOrigin::External { sequence: r.u32()? },
-                    b => return Err(ReadError::parse(r.offset, format!("bad origin tag {b}"))),
-                };
-                if self.queues.get(queue.index()).is_none() {
-                    return Err(ReadError::parse(r.offset, "event names unknown queue"));
-                }
-                if seq as usize >= self.task_count {
-                    return Err(ReadError::parse(r.offset, "event seq out of range"));
-                }
-                TaskKind::Event {
-                    queue,
-                    seq,
-                    origin,
-                    delay_ms,
-                }
-            }
-            b => return Err(ReadError::parse(r.offset, format!("bad task kind {b}"))),
-        };
-        let name = NameId::new(r.u32()?);
-        // Entry fully parsed; commit the side effects.
-        if let TaskKind::Event {
-            queue, seq, origin, ..
-        } = kind
-        {
-            if let EventOrigin::External { sequence } = origin {
-                self.external.push((sequence, id));
-            }
-            let q = &mut self.queues[queue.index()];
-            let si = seq as usize;
-            if q.events.len() <= si {
-                q.events.resize(si + 1, TaskId::new(u32::MAX));
-            }
-            q.events[si] = id;
-        }
-        self.tasks.push(TaskInfo { id, kind, name });
-        Ok(())
-    }
-
-    /// Moves the completed tables into the live trace and emits
-    /// [`StreamEvent::TablesReady`].
-    fn tables_ready(&mut self, events: &mut Vec<StreamEvent>) {
-        let mut external = std::mem::take(&mut self.external);
-        external.sort_by_key(|(seq, _)| *seq);
-        let external_order: Vec<TaskId> = external.into_iter().map(|(_, t)| t).collect();
-        self.trace = Some(Trace {
-            meta: std::mem::take(&mut self.meta),
-            names: std::mem::take(&mut self.names),
-            tasks: std::mem::take(&mut self.tasks),
-            bodies: vec![Vec::new(); self.task_count],
-            queues: std::mem::take(&mut self.queues),
-            listeners: std::mem::take(&mut self.listeners),
-            external_order,
-            process_count: self.process_count,
-        });
-        events.push(StreamEvent::TablesReady);
-        if self.task_count == 0 {
-            self.state = BinState::Done;
-            events.push(StreamEvent::End);
-        } else {
-            self.state = BinState::BodyLen { task: 0 };
-        }
-    }
-
-    /// Advances to the next task's body, or completes the stream.
-    fn next_body(&mut self, task: usize, events: &mut Vec<StreamEvent>) {
-        if task + 1 == self.task_count {
-            self.state = BinState::Done;
-            events.push(StreamEvent::End);
-        } else {
-            self.state = BinState::BodyLen { task: task + 1 };
-        }
-    }
-
-    fn finish(mut self) -> Result<Trace, ReadError> {
-        if !matches!(self.state, BinState::Done) {
-            // Re-attempt the pending item against the leftover bytes so
-            // truncation surfaces exactly as a batch read would report
-            // it (an UnexpectedEof I/O error at the same position).
-            let buf = std::mem::take(&mut self.buf);
-            let mut events = Vec::new();
-            let mut pos = 0usize;
-            while !matches!(self.state, BinState::Done) {
-                let n = self.step(&buf[pos..], &mut events)?;
-                pos += n;
-                self.consumed += n as u64;
-            }
-        }
-        Ok(self.trace.expect("done implies a trace"))
     }
 }
 
@@ -635,7 +254,7 @@ impl TextDecoder {
                 }
             }
             TextStep::Record { task, done } => {
-                note_records(events, task);
+                note_records(events, task, 1);
                 if done {
                     events.push(StreamEvent::BodyComplete { task });
                 }
