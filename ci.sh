@@ -29,10 +29,7 @@ cargo test --workspace -q
 echo "==> oracle-vs-DFS differential suite (fixed-seed proptest)"
 cargo test -p cafa-hb --test oracle_differential -q
 
-echo "==> fixpoint engine differential suite (semi-naive vs naive)"
-cargo test -p cafa-hb --test fixpoint_differential -q
-
-echo "==> demand engine differential suite (lazy queries vs eager reference)"
+echo "==> demand engine differential suite (lazy queries vs naive reference)"
 cargo test -p cafa-hb --test demand_differential -q
 
 echo "==> vector-clock differential suite (clocks vs DFS, rule-free configs)"
@@ -128,12 +125,12 @@ for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camer
             echo "FAIL: $app analyzed with --threads $threads differs from default" >&2
             exit 1
         fi
-        # The demand-driven query engine must reproduce every golden
-        # report byte-for-byte, at every thread count.
-        CAFA_HB_ENGINE=demand ./target/release/cafa analyze "$trace" --format json \
-            --threads "$threads" > "$tmpdir/$app.demand.t$threads.json"
-        if ! cmp -s "$tmpdir/$app.batch.json" "$tmpdir/$app.demand.t$threads.json"; then
-            echo "FAIL: $app under CAFA_HB_ENGINE=demand differs at --threads $threads" >&2
+        # The monolithic path must reproduce every golden report
+        # byte-for-byte, at every thread count.
+        ./target/release/cafa analyze "$trace" --format json --partition off \
+            --threads "$threads" > "$tmpdir/$app.off.t$threads.json"
+        if ! cmp -s "$tmpdir/$app.off.t$threads.json" "tests/golden/reports/$app.json"; then
+            echo "FAIL: $app under --partition off differs from golden at --threads $threads" >&2
             exit 1
         fi
         # Island-partitioned analysis must also reproduce every golden

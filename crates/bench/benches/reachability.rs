@@ -1,5 +1,5 @@
-//! Criterion: happens-before query throughput — point queries (DFS with
-//! event-matrix acceleration) versus batched multi-source sweeps.
+//! Criterion: happens-before query throughput — operation-level point
+//! queries and event-level queries through the demand engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -53,10 +53,6 @@ fn bench_queries(c: &mut Criterion) {
             }
             hits
         })
-    });
-    group.bench_function("batch_build_200_sources", |b| {
-        let sources: Vec<OpRef> = points.iter().copied().take(200).collect();
-        b.iter(|| model.batch(black_box(&sources)).source_count())
     });
     group.finish();
 }

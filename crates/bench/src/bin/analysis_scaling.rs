@@ -1,7 +1,5 @@
-//! Regenerates the §6.4 analysis-time observation; with `--parallel`,
-//! the reachability-oracle build/query scaling sweep; with
-//! `--fixpoint`, the semi-naive-vs-naive fixpoint engine comparison;
-//! with `--catalog`, the generated-corpus precision/recall +
+//! Regenerates the §6.4 analysis-time observation; with `--catalog`,
+//! the generated-corpus precision/recall +
 //! throughput sweep (`BENCH_catalog.json`); with `--serve`, the fleet
 //! ingest server throughput/eviction/restore sweep
 //! (`BENCH_serve.json`); with `--scale [--quick]`, the demand-engine
@@ -9,11 +7,7 @@
 //! the predictive-vs-HB comparison with replay adjudication
 //! (`BENCH_predict.json`).
 fn main() {
-    if std::env::args().any(|a| a == "--fixpoint") {
-        cafa_bench::fixpoint::main();
-    } else if std::env::args().any(|a| a == "--parallel") {
-        cafa_bench::scaling::parallel_main();
-    } else if std::env::args().any(|a| a == "--catalog") {
+    if std::env::args().any(|a| a == "--catalog") {
         cafa_bench::catalog::main();
     } else if std::env::args().any(|a| a == "--serve") {
         cafa_bench::serve::main();

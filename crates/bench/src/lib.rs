@@ -18,7 +18,6 @@ pub mod ablation;
 pub mod catalog;
 pub mod confirm;
 pub mod fig8;
-pub mod fixpoint;
 pub mod lowlevel;
 pub mod predict;
 pub mod scale;

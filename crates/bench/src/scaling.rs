@@ -6,20 +6,11 @@
 //! time growing superlinearly with the number of events; the absolute
 //! numbers are not comparable (this analyzer uses bitset sweeps instead
 //! of the paper's per-query graph walks and runs in milliseconds).
-//!
-//! [`parallel_main`] (CLI: `analysis_scaling --parallel`) runs the
-//! companion sweep for the reachability oracle: index build time and
-//! fanned-out query throughput at 1/2/4/8 workers, plus an
-//! oracle-vs-DFS comparison on a bounded pair subset, on the synthetic
-//! scaling trace and the heaviest catalog app. Writes
-//! `BENCH_parallel.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cafa_apps::all_apps;
 use cafa_core::Analyzer;
-use cafa_hb::bitset::BitSet;
-use cafa_hb::{CausalityConfig, HbModel, ReachOracle};
 use cafa_sim::{run, ProgramBuilder, SimConfig};
 use cafa_trace::Trace;
 
@@ -146,285 +137,4 @@ pub fn main() {
          event-heavy traces (ToDoList, Camera, Music) are the slowest —\n\
          the ordering behind the paper's 16h/1day outliers."
     );
-}
-
-// ---- parallel oracle sweep (`--parallel`) ------------------------------
-
-/// Timing iterations; the minimum is reported.
-const ITERS: usize = 3;
-
-/// Reachability queries issued per worker-count measurement.
-const QUERY_PAIRS: usize = 2_000_000;
-
-/// Pairs answered by both the oracle and the per-pair DFS for the
-/// direct comparison (DFS is far too slow for the full volume).
-const DFS_PAIRS: usize = 2_000;
-
-/// Worker counts swept.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One worker-count measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelPoint {
-    /// Workers used for index build and query fan-out.
-    pub threads: usize,
-    /// Best-of-[`ITERS`] index build wall time.
-    pub build: Duration,
-    /// Best-of-[`ITERS`] wall time for [`QUERY_PAIRS`] queries fanned
-    /// across the workers.
-    pub query: Duration,
-}
-
-impl ParallelPoint {
-    /// Query throughput in millions of queries per second.
-    pub fn mqueries_per_s(&self) -> f64 {
-        QUERY_PAIRS as f64 / 1e6 / self.query.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The sweep over one trace.
-#[derive(Clone, Debug)]
-pub struct ParallelSweep {
-    /// Trace label.
-    pub label: String,
-    /// Sync-graph nodes.
-    pub nodes: usize,
-    /// Sync-graph edges.
-    pub edges: usize,
-    /// Chains (tasks) in the index.
-    pub chains: usize,
-    /// Per-worker-count measurements.
-    pub points: Vec<ParallelPoint>,
-    /// Best-of-[`ITERS`] DFS wall time over [`DFS_PAIRS`] pairs.
-    pub dfs: Duration,
-    /// Best-of-[`ITERS`] oracle wall time over the same pairs (one
-    /// worker — the per-query cost, no fan-out).
-    pub oracle: Duration,
-}
-
-impl ParallelSweep {
-    /// How many times faster the oracle answers than the DFS.
-    pub fn dfs_speedup(&self) -> f64 {
-        self.dfs.as_secs_f64() / self.oracle.as_secs_f64().max(1e-9)
-    }
-
-    /// Query-phase speedup of `threads` workers over one.
-    pub fn query_speedup(&self, threads: usize) -> f64 {
-        let one = self.points.iter().find(|p| p.threads == 1);
-        let n = self.points.iter().find(|p| p.threads == threads);
-        match (one, n) {
-            (Some(a), Some(b)) => a.query.as_secs_f64() / b.query.as_secs_f64().max(1e-9),
-            _ => 1.0,
-        }
-    }
-}
-
-/// Deterministic pair sampling (xorshift64) over `nodes` node ids.
-fn sample_pairs(nodes: usize, count: usize, seed: u64) -> Vec<(u32, u32)> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..count)
-        .map(|_| {
-            (
-                (next() % nodes as u64) as u32,
-                (next() % nodes as u64) as u32,
-            )
-        })
-        .collect()
-}
-
-/// Sweeps index build and fanned query throughput over one trace.
-///
-/// # Panics
-///
-/// Panics if the happens-before model cannot be built.
-pub fn parallel_sweep(label: &str, trace: &Trace) -> ParallelSweep {
-    let model = HbModel::build(trace, CausalityConfig::cafa()).expect("consistent trace");
-    let graph = model.graph();
-    let pairs = sample_pairs(graph.node_count(), QUERY_PAIRS, 0x9e3779b97f4a7c15);
-
-    let mut points = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let mut build = Duration::MAX;
-        let mut oracle = None;
-        for _ in 0..ITERS {
-            let t = Instant::now();
-            let o = ReachOracle::build(graph, threads).expect("acyclic");
-            build = build.min(t.elapsed());
-            oracle = Some(o);
-        }
-        let oracle = oracle.expect("built at least once");
-
-        // Fan the query volume across the same worker count; chunk
-        // granularity keeps the dispatch cost amortized.
-        let chunks: Vec<&[(u32, u32)]> = pairs
-            .chunks(pairs.len().div_ceil(threads * 8).max(1))
-            .collect();
-        let mut query = Duration::MAX;
-        for _ in 0..ITERS {
-            let t = Instant::now();
-            let hits: usize = cafa_engine::fleet::map(&chunks, threads, |chunk| {
-                chunk.iter().filter(|&&(a, b)| oracle.reaches(a, b)).count()
-            })
-            .into_iter()
-            .sum();
-            std::hint::black_box(hits);
-            query = query.min(t.elapsed());
-        }
-        points.push(ParallelPoint {
-            threads,
-            build,
-            query,
-        });
-    }
-
-    // Head-to-head on a bounded subset: the same pairs through the DFS
-    // and through the index, single-worker.
-    let subset = &pairs[..DFS_PAIRS.min(pairs.len())];
-    let oracle = ReachOracle::build(graph, 1).expect("acyclic");
-    let mut dfs = Duration::MAX;
-    let mut scratch = BitSet::new(graph.node_count());
-    for _ in 0..ITERS {
-        let t = Instant::now();
-        let hits = subset
-            .iter()
-            .filter(|&&(a, b)| graph.reaches(a, b, &mut scratch))
-            .count();
-        std::hint::black_box(hits);
-        dfs = dfs.min(t.elapsed());
-    }
-    let mut oracle_wall = Duration::MAX;
-    for _ in 0..ITERS {
-        let t = Instant::now();
-        let hits = subset
-            .iter()
-            .filter(|&&(a, b)| oracle.reaches(a, b))
-            .count();
-        std::hint::black_box(hits);
-        oracle_wall = oracle_wall.min(t.elapsed());
-    }
-
-    ParallelSweep {
-        label: label.to_owned(),
-        nodes: graph.node_count(),
-        edges: graph.edge_count(),
-        chains: oracle.chain_count(),
-        points,
-        dfs,
-        oracle: oracle_wall,
-    }
-}
-
-/// Runs the parallel sweep on the synthetic scaling trace and the
-/// heaviest catalog app, prints the tables, and writes
-/// `BENCH_parallel.json`.
-///
-/// # Panics
-///
-/// Panics if recording, analysis, or the JSON write fails.
-pub fn parallel_main() {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("parallel reachability oracle — build + query scaling");
-    println!("host parallelism: {host_cpus} (wall-clock thread scaling needs > 1)");
-    let synthetic = synthetic_trace(8_000);
-    let heaviest = all_apps()
-        .into_iter()
-        .max_by_key(|a| a.expected.events)
-        .expect("catalog is non-empty");
-    let heavy_trace = heaviest
-        .record(0)
-        .expect("workload records cleanly")
-        .trace
-        .expect("instrumentation is on");
-
-    let sweeps = [
-        parallel_sweep("synthetic/8000", &synthetic),
-        parallel_sweep(&heaviest.name, &heavy_trace),
-    ];
-    for s in &sweeps {
-        println!(
-            "\n{} — {} nodes, {} edges, {} chains; {} queries per point:",
-            s.label, s.nodes, s.edges, s.chains, QUERY_PAIRS
-        );
-        println!(
-            "{:>8} {:>12} {:>12} {:>12}",
-            "threads", "build (s)", "query (s)", "Mquery/s"
-        );
-        for p in &s.points {
-            println!(
-                "{:>8} {:>12.4} {:>12.4} {:>12.1}",
-                p.threads,
-                p.build.as_secs_f64(),
-                p.query.as_secs_f64(),
-                p.mqueries_per_s()
-            );
-        }
-        println!(
-            "query speedup at 4 workers: {:.2}x; DFS vs oracle on {} pairs: {:.4}s vs {:.6}s ({:.0}x)",
-            s.query_speedup(4),
-            DFS_PAIRS,
-            s.dfs.as_secs_f64(),
-            s.oracle.as_secs_f64(),
-            s.dfs_speedup()
-        );
-    }
-
-    let json = render_parallel_json(&sweeps, host_cpus);
-    std::fs::write("BENCH_parallel.json", json).expect("write BENCH_parallel.json");
-    println!("\nwrote BENCH_parallel.json");
-}
-
-/// Renders the sweeps as a stable JSON document.
-fn render_parallel_json(sweeps: &[ParallelSweep], host_cpus: usize) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"label\": \"{}\",", s.label);
-        let _ = writeln!(out, "      \"nodes\": {},", s.nodes);
-        let _ = writeln!(out, "      \"edges\": {},", s.edges);
-        let _ = writeln!(out, "      \"chains\": {},", s.chains);
-        let _ = writeln!(out, "      \"query_pairs\": {QUERY_PAIRS},");
-        out.push_str("      \"threads\": [\n");
-        for (j, p) in s.points.iter().enumerate() {
-            let comma = if j + 1 < s.points.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"threads\": {}, \"build_seconds\": {:.6}, \
-                 \"query_seconds\": {:.6}, \"mqueries_per_s\": {:.2}}}{comma}",
-                p.threads,
-                p.build.as_secs_f64(),
-                p.query.as_secs_f64(),
-                p.mqueries_per_s()
-            );
-        }
-        out.push_str("      ],\n");
-        let _ = writeln!(
-            out,
-            "      \"query_speedup_at_4\": {:.2},",
-            s.query_speedup(4)
-        );
-        let _ = writeln!(out, "      \"dfs_comparison\": {{");
-        let _ = writeln!(out, "        \"pairs\": {DFS_PAIRS},");
-        let _ = writeln!(out, "        \"dfs_seconds\": {:.6},", s.dfs.as_secs_f64());
-        let _ = writeln!(
-            out,
-            "        \"oracle_seconds\": {:.6},",
-            s.oracle.as_secs_f64()
-        );
-        let _ = writeln!(out, "        \"speedup\": {:.1}", s.dfs_speedup());
-        out.push_str("      }\n");
-        let comma = if i + 1 < sweeps.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

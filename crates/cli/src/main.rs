@@ -79,14 +79,14 @@ USAGE:
         as a replay-confirmed witness or a counted false positive.
         The default backend's output is byte-identical to earlier
         releases. --json (or --format
-        json) emits a stable machine-readable format; --verbose adds
-        happens-before derivation statistics; --timings adds a
-        per-pass wall-time breakdown (extract, hb-build,
-        reachability, candidates, filters, baseline-hb, classify,
-        predict-build/predict-candidates and adjudicate under a
-        predictive detector, and — when partitioned —
-        partition/merge) and model-cache counters. --threads sets the worker count for every analysis
-        pool: the parallel reachability index, the candidate pass,
+        json) emits a stable machine-readable format; --verbose is
+        accepted and adds nothing; --timings adds a per-pass
+        wall-time breakdown (extract, hb-build, candidates, filters,
+        baseline-hb, classify, predict-build/predict-candidates and
+        adjudicate under a predictive detector, and — when
+        partitioned — partition/merge) and model-cache counters.
+        --threads sets the worker count for every analysis pool: the
+        predictive relation's reachability index, the candidate pass,
         and the island-partition fan-out (precedence: --threads,
         then the CAFA_THREADS env var, then all cores); the report
         is byte-identical at any setting. --partition controls
@@ -553,7 +553,9 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         Some("json") => json = true,
         Some(other) => return Err(format!("bad format `{other}` (text|json)")),
     }
-    let verbose = opt_flag(&mut args, "--verbose");
+    // Still accepted: the derivation line it used to add can only read
+    // zero now that the demand engine answers every query.
+    opt_flag(&mut args, "--verbose");
     let timings = opt_flag(&mut args, "--timings");
     let threads = parse_threads(&mut args)?;
     let partition = opt_value(&mut args, "--partition")?
@@ -610,7 +612,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         print!("{}", cafa_core::json::render_json(&report, &trace));
         return Ok(());
     }
-    print_text_report(&report, &trace, verbose);
+    print_text_report(&report, &trace);
     adjudicate_predictive(&mut report, &trace)?;
     if timings {
         print_timings(&report, &session, config.causality);
@@ -619,9 +621,8 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
 }
 
 /// The `--timings` breakdown of one analysis: the pass table, the
-/// partition line when islands were used, the fixpoint counters when
-/// an eager derivation ran, the demand counters of a cached model, and
-/// the session's reuse counters. Shared by batch
+/// partition line when islands were used, the demand counters of a
+/// cached model, and the session's reuse counters. Shared by batch
 /// `analyze` and `analyze --follow`, which run the same pipeline.
 fn print_timings(
     report: &cafa_core::RaceReport,
@@ -635,11 +636,6 @@ fn print_timings(
             "  partition: {} island(s) in {} batch(es), largest island {} record(s)",
             p.islands, p.batches, p.largest_island_records
         );
-    }
-    // Islands answer through the demand engine, so only a monolithic
-    // eager derivation has fixpoint counters to show.
-    if report.stats.derivation.rounds > 0 {
-        print_fixpoint_stats(&report.stats.derivation);
     }
     // Only read cached models: after a partitioned run the session
     // holds no monolithic model, and building one here just to
@@ -659,18 +655,9 @@ fn print_timings(
     );
 }
 
-/// Fixpoint-engine counters printed under `--timings`: how many rounds
-/// the derivation took and how much rule work it actually evaluated.
-fn print_fixpoint_stats(d: &cafa_hb::DerivationStats) {
-    println!("  fixpoint rounds          {:>10}", d.rounds);
-    println!("  rule instances evaluated {:>10}", d.instances);
-    println!("  edges derived            {:>10}", d.derived_edges());
-}
-
-/// Demand query-engine counters printed under `--timings` when the
-/// lazy backend answered the analysis: how many `hb` queries it saw,
-/// how many rule premises those queries forced, and how few edges it
-/// actually materialized along the way.
+/// Demand query-engine counters printed under `--timings`: how many
+/// `hb` queries it saw, how many rule premises those queries forced,
+/// and how few edges it actually materialized along the way.
 fn print_demand_stats(d: &cafa_hb::DemandStats) {
     println!("  demand queries answered  {:>10}", d.queries);
     println!("  rule premises evaluated  {:>10}", d.premises);
@@ -678,15 +665,8 @@ fn print_demand_stats(d: &cafa_hb::DemandStats) {
 }
 
 /// The shared text rendering of `analyze` (batch and `--follow`).
-fn print_text_report(report: &cafa_core::RaceReport, trace: &Trace, verbose: bool) {
+fn print_text_report(report: &cafa_core::RaceReport, trace: &Trace) {
     print!("{}", report.render(trace));
-    if verbose {
-        let d = report.stats.derivation;
-        println!(
-            "derivation: {} round(s), {} atomicity edge(s), queue rules 1-4: {:?}",
-            d.rounds, d.atomicity_edges, d.queue_edges
-        );
-    }
     println!(
         "filtered candidates: {} ({} if-guard, {} intra-event-alloc, {} lockset)",
         report.filtered.len(),
@@ -1111,11 +1091,13 @@ fn cmd_graph(rest: &[String]) -> Result<(), String> {
             trace.task_count()
         ));
     }
-    let session = AnalysisSession::new(&trace);
-    let model = session
-        .model(CausalityConfig::cafa())
+    // The model derives edges only on demand; draw the naive
+    // derivation's, which materializes every one.
+    let config = CausalityConfig::cafa();
+    let mut graph = cafa_hb::base_graph(&trace, &config);
+    cafa_hb::derive_naive(&mut graph, &trace, &config)
         .map_err(|e| format!("model build failed: {e}"))?;
-    let dot = cafa_hb::dot::render_model(&model);
+    let dot = cafa_hb::dot::render(&graph, &trace);
     match out_path {
         Some(p) => {
             std::fs::write(&p, dot).map_err(|e| format!("cannot write {p}: {e}"))?;
@@ -1213,6 +1195,16 @@ fn cmd_order(rest: &[String]) -> Result<(), String> {
     let model = session
         .model(CausalityConfig::cafa())
         .map_err(|e| format!("model build failed: {e}"))?;
+    let order = model.order(a, b);
+    let (x, y) = if order == cafa_hb::OpOrder::After {
+        (b, a)
+    } else {
+        (a, b)
+    };
+    let chain = model.explain(x, y);
+    model
+        .check()
+        .map_err(|e| format!("happens-before query failed: {e}"))?;
     println!(
         "{} ({} in {})  vs  {} ({} in {})",
         a,
@@ -1222,21 +1214,19 @@ fn cmd_order(rest: &[String]) -> Result<(), String> {
         trace.record(b).kind_tag(),
         trace.task_name(b.task),
     );
-    let (ordered, x, y) = match model.order(a, b) {
+    match order {
         cafa_hb::OpOrder::Same => {
             println!("=> the same operation");
             return Ok(());
         }
-        cafa_hb::OpOrder::Before => (true, a, b),
-        cafa_hb::OpOrder::After => (true, b, a),
-        cafa_hb::OpOrder::Concurrent => (false, a, b),
-    };
-    if !ordered {
-        println!("=> logically CONCURRENT under the CAFA model");
-        return Ok(());
+        cafa_hb::OpOrder::Concurrent => {
+            println!("=> logically CONCURRENT under the CAFA model");
+            return Ok(());
+        }
+        cafa_hb::OpOrder::Before | cafa_hb::OpOrder::After => {}
     }
     println!("=> {x} happens-before {y}; causal chain:");
-    if let Some(chain) = model.explain(x, y) {
+    if let Some(chain) = chain {
         for step in chain {
             println!(
                 "     {:?} in {} --[{:?}]--> {:?} in {}",

@@ -376,6 +376,79 @@ fn analyze_rejects_cyclic_trace_with_named_nodes() {
     std::fs::remove_file(&path).ok();
 }
 
+/// T posts A then B with equal delays, yet the looper runs B first,
+/// and B notifies a monitor A waits on: queue rule 1 derives A ≺ B and
+/// the atomicity rule B ≺ A. A uses a pointer B frees, so the analysis
+/// must query the pair. With `filler`, an unrelated thread adds an
+/// island of 10,000 writes, taking the trace past the size at which
+/// the default path partitions it.
+fn derived_cycle_trace(filler: bool) -> Vec<u8> {
+    use cafa_trace::{DerefKind, MonitorId, ObjId, Pc, TraceBuilder, VarId};
+    let mut b = TraceBuilder::new("derived-cycle");
+    let p = b.add_process();
+    let q = b.add_queue(p);
+    let t = b.add_thread(p, "T");
+    let a = b.post(t, q, "A", 0);
+    let eb = b.post(t, q, "B", 0);
+    let (m, ptr, obj) = (MonitorId::new(0), VarId::new(0), ObjId::new(1));
+    b.process_event(eb);
+    b.notify(eb, m, 0);
+    b.obj_write(eb, ptr, None, Pc::new(0x20));
+    b.process_event(a);
+    b.wait(a, m, 0);
+    b.obj_read(a, ptr, Some(obj), Pc::new(0x10));
+    b.deref(a, obj, Pc::new(0x14), DerefKind::Field);
+    if filler {
+        let other = b.add_process();
+        let w = b.add_thread(other, "filler");
+        for _ in 0..10_000 {
+            b.write(w, VarId::new(1));
+        }
+    }
+    cafa_trace::to_binary_vec(&b.finish().expect("structurally valid"))
+}
+
+/// A trace whose derived orders form a cycle is rejected alike by the
+/// default path, the monolithic and forced-island paths, `--follow`
+/// and `serve`, with and without a filler island that makes the
+/// default path partition.
+#[test]
+fn derived_cycle_is_rejected_in_every_mode() {
+    for filler in [true, false] {
+        let bytes = derived_cycle_trace(filler);
+        let path = tmp(&format!("derived-cycle-{filler}.bin"));
+        std::fs::write(&path, &bytes).unwrap();
+        let file = path.to_str().unwrap();
+        let runs = [
+            ("default", cafa(&["analyze", file])),
+            (
+                "--partition off",
+                cafa(&["analyze", file, "--partition", "off"]),
+            ),
+            (
+                "--partition force",
+                cafa(&["analyze", file, "--partition", "force"]),
+            ),
+            ("--follow", cafa(&["analyze", file, "--follow"])),
+            ("serve", serve_stdin_output(&[], &bytes)),
+        ];
+        for (mode, out) in runs {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{mode} (filler {filler}) accepted a cyclic trace: {}",
+                stdout(&out)
+            );
+            assert!(
+                stderr.contains("cyclic"),
+                "{mode} (filler {filler}): {stderr}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn analyze_threads_flag_is_byte_stable() {
     let path = tmp("threads.trace");

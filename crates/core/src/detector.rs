@@ -2,7 +2,7 @@
 //!
 //! The detection path is a sequence of named passes over an
 //! [`AnalysisSession`]: `extract` (uses/frees/allocations/guards) →
-//! `hb-build` (the CAFA happens-before fixpoint) → `candidates`
+//! `hb-build` (the CAFA happens-before model) → `candidates`
 //! (concurrent (use, free) pairs per pointer variable) → `filters`
 //! (lockset, if-guard, and intra-event-allocation suppression) →
 //! `baseline-hb` (the conventional model, base edges plus one
@@ -234,7 +234,7 @@ impl Analyzer {
     /// # Errors
     ///
     /// Returns [`HbError`] if the happens-before model cannot be built
-    /// (cyclic relation or diverging fixpoint).
+    /// or its queries derive a cyclic relation.
     pub fn analyze(&self, trace: &Trace) -> Result<RaceReport, HbError> {
         let session = AnalysisSession::new(trace);
         self.analyze_with(&session)
@@ -253,7 +253,9 @@ impl Analyzer {
     /// # Errors
     ///
     /// Returns [`HbError`] if a required happens-before model cannot
-    /// be built.
+    /// be built, or if the queries the analysis made derived a cyclic
+    /// relation ([`HbModel::check`]), on the monolithic path and inside
+    /// each island alike.
     pub fn analyze_with(&self, session: &AnalysisSession<'_>) -> Result<RaceReport, HbError> {
         // Multi-island traces can take the partitioned path: analyze
         // each causally independent sub-trace on its own worker, then
@@ -285,21 +287,8 @@ impl Analyzer {
 
         let mut stats = DetectStats {
             events: trace.stats().events,
-            derivation: model.stats(),
             ..DetectStats::default()
         };
-
-        // Reachability preparation: the eager backend builds its
-        // constant-time oracle here so every happens_before query below
-        // — candidates and classification — becomes array lookups
-        // instead of a DFS; the demand backend settles cones per query
-        // instead. Item count (graph nodes) and all downstream answers
-        // are thread-count-independent either way.
-        let threads = cafa_hb::resolve_threads(self.config.threads);
-        passes.run("reachability", || {
-            let nodes = model.ensure_reachability(threads);
-            ((), nodes)
-        });
 
         let candidates = passes.run("candidates", || {
             let found = enumerate_candidates(&self.config, ops, &model, &mut stats);
@@ -338,7 +327,6 @@ impl Analyzer {
             }
             match session.model(CausalityConfig::conventional()) {
                 Ok(m) => {
-                    m.ensure_reachability(threads);
                     let events = m.events().len();
                     (Ok(Some(m)), events)
                 }
@@ -385,6 +373,9 @@ impl Analyzer {
         } else {
             None
         };
+        // The last happens-before query has run: no answer above may
+        // come from a relation the queries found cyclic.
+        model.check()?;
 
         stats.passes = passes;
         Ok(RaceReport {

@@ -52,7 +52,8 @@ const INSTANCES_PER_SITE: usize = 8;
 ///
 /// # Errors
 ///
-/// Returns [`HbError`] if the happens-before model cannot be built.
+/// Returns [`HbError`] if the happens-before model cannot be built or
+/// its queries derive a cyclic relation.
 pub fn count_races(trace: &Trace, config: CausalityConfig) -> Result<LowLevelSummary, HbError> {
     let session = AnalysisSession::new(trace);
     count_races_with(&session, config)
@@ -63,7 +64,8 @@ pub fn count_races(trace: &Trace, config: CausalityConfig) -> Result<LowLevelSum
 ///
 /// # Errors
 ///
-/// Returns [`HbError`] if the happens-before model cannot be built.
+/// Returns [`HbError`] if the happens-before model cannot be built or
+/// its queries derive a cyclic relation.
 pub fn count_races_with(
     session: &AnalysisSession<'_>,
     config: CausalityConfig,
@@ -95,24 +97,6 @@ pub fn count_races_with(
         }
     }
 
-    // Batched reachability over the representative instances.
-    let mut sources: Vec<OpRef> = Vec::new();
-    let mut source_index: HashMap<OpRef, usize> = HashMap::new();
-    for va in vars.values() {
-        if !va.has_write || va.sites.len() < 2 {
-            continue;
-        }
-        for insts in va.sites.values() {
-            for &at in insts {
-                source_index.entry(at).or_insert_with(|| {
-                    sources.push(at);
-                    sources.len() - 1
-                });
-            }
-        }
-    }
-    let batch = model.batch(&sources);
-
     let mut summary = LowLevelSummary::default();
     let mut racy_site_pairs: HashSet<(VarId, Site, Site)> = HashSet::new();
 
@@ -142,8 +126,7 @@ pub fn count_races_with(
                             continue;
                         }
                         summary.pairs_checked += 1;
-                        let (ka, kb) = (source_index[&a], source_index[&b]);
-                        if !batch.before(ka, b) && !batch.before(kb, a) {
+                        if !model.happens_before(a, b) && !model.happens_before(b, a) {
                             racy = true;
                             break 'outer;
                         }
@@ -168,6 +151,7 @@ pub fn count_races_with(
         }
     }
     summary.racy_pairs = racy_site_pairs.len();
+    model.check()?;
     Ok(summary)
 }
 

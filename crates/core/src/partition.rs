@@ -37,10 +37,9 @@
 //! (cloning the interner, copying bodies) over many islands.
 //!
 //! Counters sum the same way: `pairs_checked` and the per-variable
-//! pair cap are variable-scoped, `candidate_vars` partitions across
-//! batches, and derivation statistics add element-wise (rounds take
-//! the max — islands derive concurrently). The JSON report contains
-//! none of the wall times, so equality holds at the byte level.
+//! pair cap are variable-scoped, and `candidate_vars` partitions across
+//! batches. The JSON report contains none of the wall times, so
+//! equality holds at the byte level.
 
 use std::time::Instant;
 
@@ -58,8 +57,7 @@ pub enum PartitionMode {
     /// [`AUTO_MIN_RECORDS`] records, and no happens-before model for
     /// the configuration already cached on the session (a caller that
     /// shares one session across analyses has already paid for the
-    /// monolithic fixpoint, so reusing it beats re-deriving per
-    /// island).
+    /// monolithic model, so reusing it beats re-deriving per island).
     #[default]
     Auto,
     /// Always analyze monolithically.
@@ -154,10 +152,7 @@ pub(crate) fn try_partitioned(
     let threads = cafa_hb::resolve_threads(config.threads);
     let results = fleet::map(&batches, threads, |tasks| {
         let projection = trace.project(tasks);
-        // Islanded sessions keep the demand-driven HB backend even
-        // though each sub-trace is small — the size heuristic
-        // mispredicts on the many-island shape by ~10×.
-        let inner = AnalysisSession::new_islanded(&projection.trace);
+        let inner = AnalysisSession::new(&projection.trace);
         Analyzer::with_config(inner_config)
             .analyze_with(&inner)
             .map(|report| unproject_report(report, &projection))
@@ -186,13 +181,6 @@ pub(crate) fn try_partitioned(
         stats
             .truncated_vars
             .extend_from_slice(&report.stats.truncated_vars);
-        let d = &report.stats.derivation;
-        stats.derivation.rounds = stats.derivation.rounds.max(d.rounds);
-        stats.derivation.instances += d.instances;
-        stats.derivation.atomicity_edges += d.atomicity_edges;
-        for (total, &batch) in stats.derivation.queue_edges.iter_mut().zip(&d.queue_edges) {
-            *total += batch;
-        }
         for pass in &report.stats.passes.records {
             passes.accumulate(pass.name, pass.wall, pass.items);
         }

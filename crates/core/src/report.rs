@@ -160,8 +160,9 @@ pub struct DetectStats {
     /// Variables whose instance pairs hit the per-variable cap; coverage
     /// for those variables is partial.
     pub truncated_vars: Vec<VarId>,
-    /// Fixpoint statistics from the happens-before derivation. On the
-    /// partitioned path: summed over islands (rounds take the max).
+    /// Counters of a materializing rule derivation. Analysis answers
+    /// through the demand engine, which runs none, so every field reads
+    /// 0; its own counters are `HbModel::demand_stats`.
     pub derivation: DerivationStats,
     /// Island-partitioning counters; `None` when the monolithic path
     /// ran.

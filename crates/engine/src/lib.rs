@@ -8,7 +8,7 @@
 //!   [`MemoryOps`] once and caches one [`HbModel`](cafa_hb::HbModel)
 //!   per [`CausalityConfig`](cafa_hb::CausalityConfig), so the
 //!   detector, its conventional classification baseline, ablations,
-//!   and the low-level counter stop rebuilding identical fixpoints;
+//!   and the low-level counter stop rebuilding identical models;
 //! * [`usefree`] — extraction of uses, frees, allocations, and guards
 //!   (§5.3), shared by every analysis;
 //! * [`PassStats`] — named per-pass wall-time and item counters, the

@@ -4,8 +4,8 @@
 //! Every consumer of a trace — the detector, the conventional baseline
 //! used for classification, the low-level race counter, ablations over
 //! several [`CausalityConfig`]s — needs the same two expensive
-//! artifacts: the extracted [`MemoryOps`] and an [`HbModel`] fixpoint
-//! per configuration. An [`AnalysisSession`] computes each at most
+//! artifacts: the extracted [`MemoryOps`] and an [`HbModel`] per
+//! configuration. An [`AnalysisSession`] computes each at most
 //! once and hands out shared references, so running four ablation
 //! configs over one trace builds four models instead of eight, and a
 //! race-free trace never pays for the conventional baseline at all.
@@ -25,7 +25,7 @@ use crate::usefree::{extract, MemoryOps};
 pub struct SessionStats {
     /// Times `MemoryOps` were extracted (0 or 1 per session).
     pub ops_extractions: usize,
-    /// Happens-before fixpoints actually built.
+    /// Happens-before models actually built.
     pub model_builds: usize,
     /// Model requests served from the cache.
     pub model_cache_hits: usize,
@@ -61,7 +61,6 @@ pub struct AnalysisSession<'t> {
     ops: OnceCell<MemoryOps>,
     models: RefCell<HashMap<CausalityConfig, Rc<HbModel<'t>>>>,
     partition: OnceCell<Rc<TracePartition>>,
-    islanded: bool,
     stats: Cell<SessionStats>,
 }
 
@@ -73,22 +72,7 @@ impl<'t> AnalysisSession<'t> {
             ops: OnceCell::new(),
             models: RefCell::new(HashMap::new()),
             partition: OnceCell::new(),
-            islanded: false,
             stats: Cell::new(SessionStats::default()),
-        }
-    }
-
-    /// Creates a session over a projected island sub-trace. Identical
-    /// to [`new`](AnalysisSession::new) except that models are built
-    /// with [`HbModel::build_islanded`]: sub-traces fall below the
-    /// demand engine's per-event auto-threshold while keeping the
-    /// many-island shape it is built for, so the size heuristic
-    /// mispredicts. Answers are engine-independent; only wall time
-    /// changes.
-    pub fn new_islanded(trace: &'t Trace) -> Self {
-        Self {
-            islanded: true,
-            ..Self::new(trace)
         }
     }
 
@@ -112,9 +96,8 @@ impl<'t> AnalysisSession<'t> {
     ///
     /// # Errors
     ///
-    /// Returns [`HbError`] if the model cannot be built (cyclic
-    /// relation or diverging fixpoint). Failures are not cached:
-    /// retrying re-runs the build.
+    /// Returns [`HbError`] if the model cannot be built (cyclic base
+    /// edges). Failures are not cached: retrying re-runs the build.
     pub fn model(&self, config: CausalityConfig) -> Result<Rc<HbModel<'t>>, HbError> {
         if let Some(model) = self.models.borrow().get(&config) {
             let mut stats = self.stats.get();
@@ -122,11 +105,7 @@ impl<'t> AnalysisSession<'t> {
             self.stats.set(stats);
             return Ok(Rc::clone(model));
         }
-        let model = Rc::new(if self.islanded {
-            HbModel::build_islanded(self.trace, config)?
-        } else {
-            HbModel::build(self.trace, config)?
-        });
+        let model = Rc::new(HbModel::build(self.trace, config)?);
         let mut stats = self.stats.get();
         stats.model_builds += 1;
         self.stats.set(stats);

@@ -4,8 +4,9 @@
 //! order (built into the graph chains), fork/join, signal-and-wait,
 //! send→begin, register→perform, Binder RPC, and the external-input
 //! rule — plus the baseline-specific edges (total event order,
-//! unlock→lock). The *derived* orders (atomicity and queue rules) are
-//! computed afterwards by the fixpoint in [`crate::rules`].
+//! unlock→lock). The *derived* orders (atomicity and queue rules) come
+//! afterwards: on demand from `crate::demand`, or all at once from the
+//! naive reference loop in [`crate::rules`].
 
 use std::collections::HashMap;
 
@@ -22,7 +23,7 @@ pub fn base_graph(trace: &Trace, config: &CausalityConfig) -> SyncGraph {
 }
 
 /// [`base_graph`] that also returns the trace's send sites, collected
-/// during the same sweep — the fixpoint engine's rule index needs them,
+/// during the same sweep — the demand engine's rule index needs them,
 /// and this saves it a second pass over the operations.
 pub(crate) fn base_graph_with_sends(
     trace: &Trace,

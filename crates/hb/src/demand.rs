@@ -1,9 +1,9 @@
 //! Demand-driven derivation of the §3.3 atomicity and queue rules.
 //!
-//! The eager engine in [`crate::rules`] materializes every derived edge
-//! up front; its per-event pair memos and reachability rows grow
-//! quadratically with the event count, which walls out million-event
-//! traces. This module answers the same happens-before queries *lazily*:
+//! The naive loop in [`crate::rules`] materializes every derived edge
+//! up front, sweeping per-node reachability rows that grow
+//! quadratically with the event count. This module answers the same
+//! happens-before queries *lazily*:
 //!
 //! * A query `reaches(a, b)` computes the **cone** of `b` — the set of
 //!   nodes that reach `b` over base edges plus the derived edges fired
@@ -21,7 +21,7 @@
 //!   pass drains. The episode stops when a pass fires nothing. This is
 //!   a local fixpoint: it converges to the restriction of the global
 //!   least fixpoint to the queried cone, so answers are identical to
-//!   the eager engine's (see `docs/SCALE.md` for the argument).
+//!   the naive loop's (see `docs/FIXPOINT.md` for the argument).
 //! * Applying a batch invalidates **only what the new edges can
 //!   affect**: a forward sweep from the edges' target nodes finds every
 //!   node whose cone may have grown, and un-settles exactly the anchors
@@ -34,10 +34,18 @@
 //!   `begin(anchor)`). That is transitive reduction on insert: the
 //!   derived set stays near-linear, and since a suppressed edge adds
 //!   nothing to the closure, answers are unaffected.
+//! * A materialized edge that **closes a cycle** is recorded as an
+//!   [`HbError::CyclicHappensBefore`] instead of being added (see
+//!   [`DemandCore::guard_cycles`]). Only edges some query forces are
+//!   checked, so a cycle no query reaches goes undetected; it changes
+//!   no answer.
 
 use std::collections::{HashMap, HashSet};
 
+use cafa_trace::Trace;
+
 use crate::config::CausalityConfig;
+use crate::error::HbError;
 use crate::graph::{EdgeKind, NodeId, SyncGraph};
 use crate::rules::{EventTable, SendSite};
 
@@ -53,6 +61,24 @@ pub struct DemandStats {
     /// Conclusions skipped because the current relation already implied
     /// them (transitive reduction on insert).
     pub suppressed: u64,
+}
+
+/// How a newly materialized edge `end(e₁) → begin(e₂)` is checked for
+/// closing a cycle.
+#[derive(Debug)]
+enum CycleGuard {
+    /// Not checked: the live incremental path, whose answers are
+    /// provisional (its final report comes from a checked model).
+    Off,
+    /// The base edges plus every looper's processing order form an
+    /// acyclic graph, and every edge so far ran forward in processing
+    /// order, so each lies in that graph's closure and none can close a
+    /// cycle. Holds each dense event's position in its looper's
+    /// processing order.
+    Forward(Vec<u32>),
+    /// Every new edge is checked: does `begin(e₂)` already reach
+    /// `end(e₁)`?
+    Exact,
 }
 
 /// The demand-driven query engine over one sync graph.
@@ -131,6 +157,10 @@ pub struct DemandCore {
     nodes_seen: usize,
     edges_seen: usize,
 
+    /// How new edges are checked for cycles, and the first cycle found.
+    guard: CycleGuard,
+    cycle: Option<HbError>,
+
     stats: DemandStats,
 }
 
@@ -180,6 +210,8 @@ impl DemandCore {
             fwd_stack: Vec::new(),
             nodes_seen: 0,
             edges_seen: 0,
+            guard: CycleGuard::Off,
+            cycle: None,
             stats: DemandStats::default(),
             table,
         };
@@ -190,6 +222,94 @@ impl DemandCore {
     /// A snapshot of the work counters.
     pub fn stats(&self) -> DemandStats {
         self.stats
+    }
+
+    /// Arms the cycle check for the complete `trace` that `graph` holds
+    /// the base edges of. One Kahn pass over the base edges plus each
+    /// looper's processing order (`QueueInfo::events`) decides how:
+    ///
+    /// * acyclic — every derived edge joins two events of one looper,
+    ///   and one that runs forward in processing order lies in that
+    ///   graph's closure, so edges are trusted until the first backward
+    ///   one and checked exactly from then on;
+    /// * cyclic, with the base edges alone acyclic — the recorded order
+    ///   contradicts the base edges, so every edge is checked exactly.
+    ///
+    /// On recorded traces no derived edge runs backward, so the check
+    /// costs one pass at build time and nothing per edge.
+    ///
+    /// # Errors
+    ///
+    /// [`HbError::CyclicHappensBefore`] when the base edges alone are
+    /// cyclic.
+    pub(crate) fn guard_cycles(&mut self, graph: &SyncGraph, trace: &Trace) -> Result<(), HbError> {
+        let n = self.table.len();
+        let (mut pos, mut next) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+        // Validated traces list every event once, on its own queue; any
+        // other shape just falls back to exact checks.
+        let mut listed = true;
+        for (qid, q) in trace.queues() {
+            let mut prev = u32::MAX;
+            for (k, &e) in q.events.iter().enumerate() {
+                match self.table.dense(e) {
+                    Some(j)
+                        if self.table.queue_of[j as usize] == qid
+                            && pos[j as usize] == u32::MAX =>
+                    {
+                        pos[j as usize] = k as u32;
+                        if prev != u32::MAX {
+                            next[prev as usize] = j;
+                        }
+                        prev = j;
+                    }
+                    _ => listed = false,
+                }
+            }
+        }
+        listed &= pos.iter().all(|&p| p != u32::MAX);
+        self.guard = if listed && self.acyclic_with(graph, &next) {
+            CycleGuard::Forward(pos)
+        } else {
+            graph
+                .topo_order()
+                .map_err(|nodes| HbError::cyclic(graph, &nodes))?;
+            CycleGuard::Exact
+        };
+        Ok(())
+    }
+
+    /// Kahn's pass over the base edges plus `end(e_j) → begin(e_next[j])`
+    /// for each dense event `j` with a successor: is the union acyclic?
+    /// `graph` must hold only compacted base edges, as a fresh
+    /// [`base_graph`](crate::base_graph) does.
+    fn acyclic_with(&self, graph: &SyncGraph, next: &[u32]) -> bool {
+        let begin_of = |k: u32| graph.begin(self.table.events[k as usize]);
+        let mut indegree = graph.in_degrees();
+        for &k in next.iter().filter(|&&k| k != u32::MAX) {
+            indegree[begin_of(k) as usize] += 1;
+        }
+        let mut stack: Vec<NodeId> = (0..indegree.len() as NodeId)
+            .filter(|&v| indegree[v as usize] == 0)
+            .collect();
+        let mut swept = 0;
+        while let Some(v) = stack.pop() {
+            swept += 1;
+            let i = self.end_event_of[v as usize];
+            let chained =
+                (i != u32::MAX && next[i as usize] != u32::MAX).then(|| begin_of(next[i as usize]));
+            for s in graph.csr_succs(v).iter().map(|&(s, _)| s).chain(chained) {
+                indegree[s as usize] -= 1;
+                if indegree[s as usize] == 0 {
+                    stack.push(s);
+                }
+            }
+        }
+        swept == indegree.len()
+    }
+
+    /// The first cycle a materialized edge would have closed, if any.
+    pub(crate) fn cycle(&self) -> Option<&HbError> {
+        self.cycle.as_ref()
     }
 
     /// Registers send sites appended since the last call and un-settles
@@ -311,8 +431,19 @@ impl DemandCore {
         if !self.reaches(graph, from, to) {
             return None;
         }
-        // Forward BFS with parent tracking; the derived edges live in
-        // `derived_out`, the rest in the graph.
+        self.path_over(graph, from, to)
+    }
+
+    /// A shortest path `from → to` over base plus already-materialized
+    /// derived edges, settling nothing. Forward BFS with parent
+    /// tracking; the derived edges live in `derived_out`, the rest in
+    /// the graph.
+    fn path_over(
+        &self,
+        graph: &SyncGraph,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<Vec<(NodeId, EdgeKind, NodeId)>> {
         let mut parent: HashMap<NodeId, (NodeId, EdgeKind)> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(from);
@@ -349,7 +480,7 @@ impl DemandCore {
     /// Each pass evaluates premises against the relation **as of pass
     /// start**: conclusions accumulate in [`DemandCore::pending`] and
     /// the batch is applied only after the pass drains — exactly the
-    /// round semantics of the eager engine's naive loop, so passes
+    /// round semantics of the naive reference loop, so passes
     /// converge in closure depth, not in fired-edge count, and cone
     /// memos survive a whole pass instead of thrashing per edge.
     fn settle(&mut self, graph: &SyncGraph, root: NodeId) {
@@ -523,13 +654,17 @@ impl DemandCore {
     }
 
     /// Applies the pass's pending conclusions, skipping repeats of
-    /// already-materialized edges, then invalidates everything the new
-    /// edges can affect. Returns whether the pass fired.
+    /// already-materialized edges and edges that would close a cycle,
+    /// then invalidates everything the new edges can affect. Returns
+    /// whether the pass fired.
     fn apply_pending(&mut self, graph: &SyncGraph) -> bool {
         let mut seeds: Vec<NodeId> = Vec::new();
         while let Some((j, begin_j, src, kind)) = self.pending.pop() {
             if self.derived_in[j as usize].iter().any(|&(s, _)| s == src) {
                 self.stats.suppressed += 1;
+                continue;
+            }
+            if self.closes_cycle(graph, j, begin_j, src) {
                 continue;
             }
             self.derived_in[j as usize].push((src, kind));
@@ -544,6 +679,37 @@ impl DemandCore {
             return false;
         }
         self.invalidate_from(graph, &seeds);
+        true
+    }
+
+    /// Would `src → begin(e_j)` close a cycle in the materialized
+    /// relation? `src` is the end of some event `e_i` of `e_j`'s looper.
+    /// Records the first cycle found, naming its nodes.
+    fn closes_cycle(&mut self, graph: &SyncGraph, j: u32, begin_j: NodeId, src: NodeId) -> bool {
+        match &self.guard {
+            CycleGuard::Off => return false,
+            CycleGuard::Forward(pos) => {
+                let i = self.end_event_of[src as usize];
+                if i != u32::MAX
+                    && self.table.queue_of[i as usize] == self.table.queue_of[j as usize]
+                    && pos[i as usize] < pos[j as usize]
+                {
+                    return false;
+                }
+                self.guard = CycleGuard::Exact;
+            }
+            CycleGuard::Exact => {}
+        }
+        if !self.cone_contains(graph, src, begin_j) {
+            return false;
+        }
+        if self.cycle.is_none() {
+            let path = self.path_over(graph, begin_j, src).unwrap_or_default();
+            let nodes: Vec<NodeId> = std::iter::once(begin_j)
+                .chain(path.iter().map(|&(_, _, to)| to))
+                .collect();
+            self.cycle = Some(HbError::cyclic(graph, &nodes));
+        }
         true
     }
 

@@ -10,8 +10,10 @@ use std::fmt::Write as _;
 
 use cafa_trace::Trace;
 
+use crate::build::base_graph;
 use crate::graph::{EdgeKind, NodePoint, SyncGraph};
 use crate::model::HbModel;
+use crate::rules::derive_naive;
 
 /// Renders `graph` as a DOT digraph, labelling nodes through `trace`.
 ///
@@ -75,9 +77,14 @@ pub fn render(graph: &SyncGraph, trace: &Trace) -> String {
     out
 }
 
-/// Convenience: the DOT rendering of a built model's graph.
+/// The DOT rendering of a model's relation: its base graph plus every
+/// edge the naive derivation materializes (the model itself derives
+/// edges only on demand). Should the derivation stop at a cycle, the
+/// edges derived until then are drawn.
 pub fn render_model(model: &HbModel<'_>) -> String {
-    render(model.graph(), model.trace())
+    let mut graph = base_graph(model.trace(), model.config());
+    let _ = derive_naive(&mut graph, model.trace(), model.config());
+    render(&graph, model.trace())
 }
 
 fn escape(s: &str) -> String {

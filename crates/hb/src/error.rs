@@ -14,8 +14,9 @@ pub enum HbError {
     /// hand-constructed inconsistent trace (e.g. a `perform` before its
     /// `register` in the same task, or forged RPC pairings).
     CyclicHappensBefore {
-        /// Number of graph nodes involved in cyclic strongly-connected
-        /// components.
+        /// Number of graph nodes reported: those a failed topological
+        /// sort left over, or those of the derived cycle the demand
+        /// engine refused to close.
         cycle_len: usize,
         /// Human-readable positions of up to the first few such nodes
         /// (`task@begin`, `task@record<i>`, `task@end`), so the report
@@ -50,8 +51,8 @@ pub enum HbError {
 
 impl HbError {
     /// Builds a [`HbError::CyclicHappensBefore`] from the node set a
-    /// failed [`SyncGraph::topo_order`] reports, naming up to eight of
-    /// the offending sync points.
+    /// failed [`SyncGraph::topo_order`] reports, or from the nodes of a
+    /// cycle, naming up to eight of the offending sync points.
     pub fn cyclic(graph: &SyncGraph, nodes: &[NodeId]) -> Self {
         const MAX_NAMED: usize = 8;
         let cycle_nodes = nodes

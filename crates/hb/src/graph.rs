@@ -132,8 +132,9 @@ pub struct SyncGraph {
     edge_kind_counts: Vec<(EdgeKind, usize)>,
     /// Chronological log of every edge ever added (the dedup in
     /// [`SyncGraph::add_edge`] guarantees each appears once). Consumers
-    /// that maintain derived state — the semi-naive rule fixpoint —
-    /// remember a position in this log and propagate only the suffix.
+    /// that maintain derived state — the demand engine following a
+    /// growing graph — remember a position in this log and process only
+    /// the suffix.
     edge_log: Vec<(NodeId, NodeId, EdgeKind)>,
 }
 
@@ -366,9 +367,9 @@ impl SyncGraph {
 
     /// The chronological edge log: every edge of the graph, in the
     /// order it was added. `edge_log()[k..]` is exactly the set of
-    /// edges added since the log was `k` entries long, which is what
-    /// the semi-naive fixpoint propagates between rounds and between
-    /// incremental derivation calls.
+    /// edges added since the log was `k` entries long: what the demand
+    /// engine invalidates from when an incremental graph grows, and a
+    /// naive round's delta.
     pub fn edge_log(&self) -> &[(NodeId, NodeId, EdgeKind)] {
         &self.edge_log
     }

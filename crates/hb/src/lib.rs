@@ -17,9 +17,10 @@
 //!   `sendAtFront`.
 //!
 //! Because the atomicity and queue rules consume happens-before facts
-//! they also produce, the model is computed as a fixpoint over an
-//! operation-level sync graph ([`SyncGraph`]), then exposed through
-//! [`HbModel`] for queries; a config without those rules needs no
+//! they also produce, the model is the least fixpoint of those rules
+//! over an operation-level sync graph ([`SyncGraph`]). [`HbModel`]
+//! answers queries against it through a demand engine that derives only
+//! what each query needs; a config without those rules needs no
 //! fixpoint and is answered by vector clocks. [`CausalityConfig`]
 //! selects between the CAFA model, the paper's conventional baseline,
 //! and ablations.
@@ -75,8 +76,8 @@ pub use error::HbError;
 pub use graph::{EdgeKind, NodeId, NodeInfo, NodePoint, SyncGraph};
 pub use incremental::IncrementalHb;
 pub use locks::LockSets;
-pub use model::{BatchReach, CauseStep, HbModel, OpOrder};
+pub use model::{CauseStep, HbModel, OpOrder};
 pub use oracle::{resolve_threads, ReachOracle};
 #[doc(hidden)]
 pub use rules::derive_naive;
-pub use rules::{derive, derive_eager_reference, DerivationStats, EventTable};
+pub use rules::{DerivationStats, EventTable};

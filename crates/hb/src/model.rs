@@ -1,38 +1,16 @@
 //! The [`HbModel`] facade: build once per trace, query happens-before.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use cafa_trace::{OpRef, TaskId, Trace};
 
-use crate::bitset::BitSet;
 use crate::build::{base_graph, base_graph_with_sends};
 use crate::clocks::Clocks;
 use crate::config::CausalityConfig;
 use crate::demand::{DemandCore, DemandStats};
 use crate::error::HbError;
 use crate::graph::{NodeId, SyncGraph};
-use crate::oracle::ReachOracle;
-use crate::rules::{fixpoint, flow, DerivationStats, EventTable, FixpointState};
-
-/// Event count at and above which [`HbModel::build`] switches from the
-/// eager fixpoint (which materializes the full event-order closure —
-/// quadratic memory) to the demand-driven engine. Overridable with
-/// `CAFA_HB_ENGINE=eager|demand`.
-const DEMAND_AUTO_THRESHOLD: usize = 32_768;
-
-/// Does `config` derive nothing beyond its base edges?
-fn rule_free(config: &CausalityConfig) -> bool {
-    !config.atomicity_rule && !config.queue_rules
-}
-
-/// Engine choice for a build of `ev_count` events.
-fn use_demand(ev_count: usize) -> bool {
-    match std::env::var("CAFA_HB_ENGINE").ok().as_deref() {
-        Some("eager") => false,
-        Some("demand") => true,
-        _ => ev_count >= DEMAND_AUTO_THRESHOLD,
-    }
-}
+use crate::rules::EventTable;
 
 /// Relative order of two operations under a causality model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,13 +39,11 @@ pub struct CauseStep {
 
 /// A happens-before model of one trace under one [`CausalityConfig`].
 ///
-/// Building a model constructs the sync graph, installs the base causal
-/// edges, and prepares one of three backends for the atomicity and
-/// queue rules of §3.3: an eager fixpoint with the event-order closure
-/// as a bit matrix, a demand engine that settles rules per query, or —
-/// when the config has neither rule — vector clocks over the base
-/// edges, which answer every query by a position compare or a binary
-/// search.
+/// Building a model constructs the sync graph and installs the base
+/// causal edges. A config with the atomicity or queue rules of §3.3 is
+/// answered by the demand engine, which settles the rules per query;
+/// a config with neither is answered by vector clocks over the base
+/// edges, a position compare or a binary search per query.
 ///
 /// # Examples
 ///
@@ -90,6 +66,7 @@ pub struct CauseStep {
 /// let model = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
 /// assert!(model.event_before(a, eb));
 /// assert!(!model.event_before(eb, a));
+/// assert!(model.check().is_ok());
 /// ```
 #[derive(Debug)]
 pub struct HbModel<'t> {
@@ -97,33 +74,18 @@ pub struct HbModel<'t> {
     config: CausalityConfig,
     graph: SyncGraph,
     table: EventTable,
-    stats: DerivationStats,
     backend: Backend,
-    /// Lazily built constant-time reachability index over `graph`, on
-    /// the backends whose graph holds the whole relation (eager and
-    /// clocks). Answers are identical either way, so building it never
-    /// changes a report.
-    oracle: OnceLock<Box<ReachOracle>>,
 }
 
-/// How a model answers derived-order queries. All backends compute the
-/// same least fixpoint of the §3.3 rules, so every query answers
-/// identically; they differ only in when the work happens.
+/// How a model answers queries. The graph holds only base edges either
+/// way.
 #[derive(Debug)]
 enum Backend {
-    /// All derived edges materialized at build time (the graph holds
-    /// the fixpoint), with the event-order closure as a bit matrix.
-    Eager {
-        /// Per dense event `e`: events `e'` with `end(e') ≺ begin(e)`.
-        before_begin: Vec<BitSet>,
-        /// A topological order of the graph, for batch sweeps.
-        topo: Vec<NodeId>,
-    },
-    /// Rules evaluated lazily per query (see `demand.rs`); the
-    /// graph holds only base edges. The mutex keeps the model `Sync`
-    /// so detector passes can fan queries across threads; answers are
-    /// pure functions of the unique least fixpoint, so results do not
-    /// depend on thread count or interleaving.
+    /// Rules evaluated lazily per query (see `demand.rs`). The mutex
+    /// keeps the model `Sync` so detector passes can fan queries across
+    /// threads; answers are pure functions of the unique least
+    /// fixpoint, so results do not depend on thread count or
+    /// interleaving.
     Demand(Box<Mutex<DemandCore>>),
     /// No rules to derive: the graph holds the whole relation and
     /// vector clocks answer it (see `clocks.rs`).
@@ -140,209 +102,63 @@ impl Backend {
 }
 
 impl<'t> HbModel<'t> {
-    /// Builds the model for `trace` under `config`.
-    ///
-    /// A config with neither the atomicity nor the queue rules (the
+    /// Builds the model for `trace` under `config`: vector clocks when
+    /// the config has neither the atomicity nor the queue rules (the
     /// conventional baseline, the FastTrack-style ablation, CAFA's bare
-    /// base edges) always gets the vector-clock backend, whatever
-    /// `CAFA_HB_ENGINE` says: its relation is reachability over the
-    /// base edges, which one forward sweep answers exactly. Otherwise
-    /// traces below [`DEMAND_AUTO_THRESHOLD`] events get the eager
-    /// fixpoint and larger ones the demand engine, unless
-    /// `CAFA_HB_ENGINE=eager|demand` picks.
+    /// base edges), since its relation is reachability over the base
+    /// edges and one forward sweep answers it exactly; the demand
+    /// engine otherwise.
+    ///
+    /// A derived cycle surfaces through [`check`](HbModel::check), not
+    /// here: the demand engine derives an edge only when a query needs
+    /// it.
     ///
     /// # Errors
     ///
-    /// Returns [`HbError`] if the trace implies a cyclic happens-before
-    /// relation or the rule fixpoint diverges.
+    /// Returns [`HbError`] if the base edges are cyclic or an event
+    /// task has no queue.
     pub fn build(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        if rule_free(&config) {
-            return Self::build_clocks(trace, config);
-        }
         let table = EventTable::new(trace)?;
-        if use_demand(table.len()) {
-            return Self::build_demand(trace, config);
+        if !config.atomicity_rule && !config.queue_rules {
+            let graph = base_graph(trace, &config);
+            let clocks = Clocks::build(&graph, trace, config.total_event_order)
+                .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
+            return Ok(Self {
+                trace,
+                config,
+                graph,
+                table,
+                backend: Backend::Clocks(clocks),
+            });
         }
-        Self::build_eager(trace, config)
-    }
-
-    /// Builds the model preferring the demand-driven backend whatever
-    /// the event count (an explicit `CAFA_HB_ENGINE=eager` still
-    /// wins); rule-free configs get vector clocks, as in
-    /// [`build`](HbModel::build). Island-partitioned analysis projects
-    /// a fleet trace into sub-traces that each fall below
-    /// [`DEMAND_AUTO_THRESHOLD`], yet keep the many-small-islands shape
-    /// the lazy engine dominates on — the per-event heuristic of
-    /// [`build`](HbModel::build) mispredicts there by an order of
-    /// magnitude.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HbError`] if the trace implies a cyclic happens-before
-    /// relation or the rule fixpoint diverges.
-    pub fn build_islanded(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        if rule_free(&config) {
-            return Self::build_clocks(trace, config);
-        }
-        match std::env::var("CAFA_HB_ENGINE").ok().as_deref() {
-            Some("eager") => Self::build_eager(trace, config),
-            _ => Self::build_demand(trace, config),
-        }
-    }
-
-    /// Builds a rule-free model on the vector-clock backend.
-    fn build_clocks(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        let graph = base_graph(trace, &config);
-        let clocks = Clocks::build(&graph, trace, config.total_event_order)
-            .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
-        Ok(Self {
-            trace,
-            config,
-            graph,
-            table: EventTable::new(trace)?,
-            stats: DerivationStats::default(),
-            backend: Backend::Clocks(clocks),
-            oracle: OnceLock::new(),
-        })
-    }
-
-    /// Builds a model with the eager backend regardless of trace size
-    /// or `CAFA_HB_ENGINE`. Exposed (hidden) so the differential suite
-    /// can pin one engine on each side of a comparison.
-    #[doc(hidden)]
-    pub fn build_eager(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        let (mut graph, sends) = base_graph_with_sends(trace, &config);
-        let mut st = FixpointState::new(trace)?;
-        st.add_sends(&sends);
-        let stats = fixpoint(&mut graph, &config, &mut st)?;
-        // The converged reachability rows already hold the event-order
-        // closure; reuse them instead of re-sweeping the graph.
-        let closure = st.converged_closure(&graph);
-        Self::from_parts(trace, config, graph, stats, closure)
-    }
-
-    /// Builds a model with the demand-driven backend regardless of
-    /// trace size. [`build`](HbModel::build) selects this automatically
-    /// above [`DEMAND_AUTO_THRESHOLD`] events; exposed (hidden) so the
-    /// differential suite can force the choice.
-    #[doc(hidden)]
-    pub fn build_demand(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
         let (graph, sends) = base_graph_with_sends(trace, &config);
-        graph
-            .topo_order()
-            .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
-        let table = EventTable::new(trace)?;
         let mut core = DemandCore::new(&graph, table.clone(), config);
         core.register_sends(&graph, &sends);
+        core.guard_cycles(&graph, trace)?;
         Ok(Self {
             trace,
             config,
             graph,
             table,
-            stats: DerivationStats::default(),
             backend: Backend::Demand(Box::new(Mutex::new(core))),
-            oracle: OnceLock::new(),
         })
     }
 
-    /// Assembles a model from an already-derived graph (the incremental
-    /// path): verifies acyclicity and precomputes the event-order
-    /// closure (reusing `closure` — per dense event, the events whose
-    /// end precedes its begin — when the fixpoint engine kept its
-    /// converged rows). The graph must contain the fixpoint of
-    /// `config`'s rules over `trace` — [`build`](HbModel::build) is the
-    /// batch shortcut.
-    pub(crate) fn from_parts(
-        trace: &'t Trace,
-        config: CausalityConfig,
-        graph: SyncGraph,
-        stats: DerivationStats,
-        closure: Option<Vec<BitSet>>,
-    ) -> Result<Self, HbError> {
-        let topo = graph
-            .topo_order()
-            .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
-
-        let table = EventTable::new(trace)?;
-        // Final event-order closure: mark each end(e); read each begin(e).
-        let before_begin: Vec<BitSet> = match closure {
-            Some(rows) => rows,
-            None => {
-                let mut marks: Vec<Option<u32>> = vec![None; graph.node_count()];
-                for (i, &e) in table.events.iter().enumerate() {
-                    marks[graph.end(e) as usize] = Some(i as u32);
-                }
-                let acc = flow(&graph, &topo, &marks, table.len());
-                table
-                    .events
-                    .iter()
-                    .map(|&e| acc[graph.begin(e) as usize].clone())
-                    .collect()
-            }
-        };
-
-        Ok(Self {
-            trace,
-            config,
-            graph,
-            table,
-            stats,
-            backend: Backend::Eager { before_begin, topo },
-            oracle: OnceLock::new(),
-        })
-    }
-
-    /// Builds (once) and returns the constant-time reachability index,
-    /// constructing its begin matrix with `threads` scoped workers
-    /// (`0` = auto; see [`crate::resolve_threads`]). Subsequent
-    /// [`happens_before`](HbModel::happens_before) queries use the
-    /// index instead of a DFS.
+    /// Whether every answer so far came from an acyclic relation. The
+    /// demand engine refuses to add a derived edge that would close a
+    /// cycle and records it here; call this after the last query, since
+    /// only the edges queries force are derived and checked. A cycle no
+    /// query reaches is not detected, and changes no answer.
     ///
-    /// On the clocks backend the graph holds the whole rule-free
-    /// relation, so the oracle is built over it on request; the clocks
-    /// themselves never need it.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics on a demand-backend model: its graph holds only base
-    /// edges, so an oracle over it would answer without the derived
-    /// orders. Use [`ensure_reachability`](HbModel::ensure_reachability)
-    /// for backend-agnostic preparation.
-    pub fn ensure_oracle(&self, threads: usize) -> &ReachOracle {
-        self.oracle.get_or_init(|| {
-            Box::new(match &self.backend {
-                Backend::Eager { topo, .. } => {
-                    ReachOracle::build_with_topo(&self.graph, topo, threads)
-                }
-                // The clock sweep already rejected cyclic graphs.
-                Backend::Clocks(_) => {
-                    ReachOracle::build(&self.graph, threads).expect("clocks graph is acyclic")
-                }
-                Backend::Demand(_) => {
-                    panic!("ensure_oracle needs derived edges; demand models answer queries lazily")
-                }
-            })
-        })
-    }
-
-    /// Prepares whatever reachability index the backend uses for bulk
-    /// operation-level queries and reports its node coverage: the
-    /// [`ReachOracle`] (built with `threads` workers) on the eager
-    /// backend; a no-op on the demand backend, whose queries settle
-    /// their own cones, and on the clocks backend, whose sweep already
-    /// ran. All return the graph's node count, so pass accounting is
-    /// backend-independent.
-    pub fn ensure_reachability(&self, threads: usize) -> usize {
-        if let Backend::Eager { .. } = self.backend {
-            self.ensure_oracle(threads);
+    /// [`HbError::CyclicHappensBefore`] naming the first derived cycle
+    /// found: the trace is not consistent with any real execution.
+    pub fn check(&self) -> Result<(), HbError> {
+        match self.backend.demand().as_deref().and_then(DemandCore::cycle) {
+            Some(err) => Err(err.clone()),
+            None => Ok(()),
         }
-        self.graph.node_count()
-    }
-
-    /// The reachability index, if [`ensure_oracle`](HbModel::ensure_oracle)
-    /// has been called (never on the demand backend).
-    pub fn oracle(&self) -> Option<&ReachOracle> {
-        self.oracle.get().map(Box::as_ref)
     }
 
     /// Work counters of the demand engine, when this model uses it.
@@ -365,11 +181,6 @@ impl<'t> HbModel<'t> {
         &self.graph
     }
 
-    /// Statistics from the rule fixpoint.
-    pub fn stats(&self) -> DerivationStats {
-        self.stats
-    }
-
     /// The event tasks in dense order.
     pub fn events(&self) -> &[TaskId] {
         &self.table.events
@@ -385,7 +196,6 @@ impl<'t> HbModel<'t> {
         let i1 = self.table.dense(e1).expect("e1 must be an event");
         let i2 = self.table.dense(e2).expect("e2 must be an event");
         match &self.backend {
-            Backend::Eager { before_begin, .. } => before_begin[i2 as usize].contains(i1 as usize),
             Backend::Demand(_) => {
                 let mut core = self.backend.demand().expect("demand backend");
                 core.event_before(&self.graph, i1, i2)
@@ -417,27 +227,12 @@ impl<'t> HbModel<'t> {
         if a.task == b.task {
             return a.index < b.index;
         }
-        // Event-level fast path: full order between the containing events
-        // orders every operation pair.
-        if let (Backend::Eager { before_begin, .. }, Some(i1), Some(i2)) = (
-            &self.backend,
-            self.table.dense(a.task),
-            self.table.dense(b.task),
-        ) {
-            if before_begin[i2 as usize].contains(i1 as usize) {
-                return true;
-            }
-            // The converse ordering rules out a forward path only if the
-            // relation is acyclic (guaranteed); still, mid-task paths
-            // like send≺begin are not captured by the matrix, so fall
-            // through to the graph search.
-        }
         self.reaches(self.graph.bracket_after(a), self.graph.bracket_before(b))
     }
 
     /// Is there a non-empty path `from → to` between two sync nodes of
     /// [`graph`](HbModel::graph) under the model's relation, derived
-    /// orders included? Irreflexive, since the relation is acyclic.
+    /// orders included? Irreflexive.
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         match &self.backend {
             Backend::Clocks(clocks) => clocks.reaches(&self.graph, from, to),
@@ -445,13 +240,6 @@ impl<'t> HbModel<'t> {
                 let mut core = self.backend.demand().expect("demand backend");
                 core.reaches(&self.graph, from, to)
             }
-            Backend::Eager { .. } => match self.oracle.get() {
-                Some(oracle) => oracle.reaches(from, to),
-                None => {
-                    let mut scratch = BitSet::new(self.graph.node_count());
-                    self.graph.reaches(from, to, &mut scratch)
-                }
-            },
         }
     }
 
@@ -526,94 +314,6 @@ impl<'t> HbModel<'t> {
                 .collect(),
         )
     }
-
-    /// Prepares a batched reachability index for many-source queries.
-    ///
-    /// One linear sweep of the graph answers `sources[i] ≺ b` for every
-    /// source and any `b` — the detector uses this with all use/free
-    /// sites as sources.
-    pub fn batch(&self, sources: &[OpRef]) -> BatchReach<'_, 't> {
-        let Backend::Eager { topo, .. } = &self.backend else {
-            // The flow sweep below pays off against an eager model's
-            // DFS; the demand engine and the clocks answer each pair
-            // through their own query path instead.
-            return BatchReach {
-                model: self,
-                sources: sources.to_vec(),
-                group: Vec::new(),
-                acc: Vec::new(),
-                pointwise: true,
-            };
-        };
-        let mut marks: Vec<Option<u32>> = vec![None; self.graph.node_count()];
-        // Multiple sources may share a bracket node; give each node the
-        // list position of one representative and remap afterwards.
-        let mut node_group: Vec<u32> = Vec::with_capacity(sources.len());
-        let mut group_count = 0u32;
-        let mut group_of_node: std::collections::HashMap<NodeId, u32> =
-            std::collections::HashMap::new();
-        for &s in sources {
-            let n = self.graph.bracket_after(s);
-            let g = *group_of_node.entry(n).or_insert_with(|| {
-                let g = group_count;
-                marks[n as usize] = Some(g);
-                group_count += 1;
-                g
-            });
-            node_group.push(g);
-        }
-        let acc = flow(&self.graph, topo, &marks, group_count as usize);
-        BatchReach {
-            model: self,
-            sources: sources.to_vec(),
-            group: node_group,
-            acc,
-            pointwise: false,
-        }
-    }
-}
-
-/// Precomputed multi-source reachability; see [`HbModel::batch`].
-#[derive(Debug)]
-pub struct BatchReach<'m, 't> {
-    model: &'m HbModel<'t>,
-    sources: Vec<OpRef>,
-    group: Vec<u32>,
-    acc: Vec<BitSet>,
-    /// Demand or clocks backend: answer per pair via the model.
-    pointwise: bool,
-}
-
-impl BatchReach<'_, '_> {
-    /// Number of sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Does source number `i` happen before the operation at `b`?
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn before(&self, i: usize, b: OpRef) -> bool {
-        let a = self.sources[i];
-        if a.task == b.task {
-            return a.index < b.index;
-        }
-        if self.pointwise {
-            return self.model.happens_before(a, b);
-        }
-        let to = self.model.graph.bracket_before(b);
-        self.acc[to as usize].contains(self.group[i] as usize)
-    }
-
-    /// Are source `i` and the operation at `b` concurrent under the
-    /// model? Requires `b` to also be a source (at index `j`) so the
-    /// converse direction is batched too.
-    pub fn concurrent(&self, i: usize, j: usize) -> bool {
-        let (a, b) = (self.sources[i], self.sources[j]);
-        a != b && !self.before(i, b) && !self.before(j, a)
-    }
 }
 
 #[cfg(test)]
@@ -640,6 +340,57 @@ mod tests {
         b.process_event(destroy);
         let free_at = b.obj_write(destroy, VarId::new(0), None, Pc::new(0x20));
         (b.finish().unwrap(), use_at, free_at, connected, destroy)
+    }
+
+    /// T posts A then B with equal delays, yet the looper runs B first,
+    /// and B notifies a monitor A waits on: queue rule 1 derives A ≺ B
+    /// and the atomicity rule B ≺ A.
+    fn derived_cycle() -> (Trace, TaskId, TaskId) {
+        let mut b = TraceBuilder::new("cycle");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let t = b.add_thread(p, "T");
+        let a = b.post(t, q, "A", 0);
+        let eb = b.post(t, q, "B", 0);
+        let m = cafa_trace::MonitorId::new(0);
+        b.process_event(eb);
+        b.notify(eb, m, 0);
+        b.process_event(a);
+        b.wait(a, m, 0);
+        (b.finish().unwrap(), a, eb)
+    }
+
+    #[test]
+    fn derived_cycle_is_reported_once_a_query_forces_it() {
+        let (trace, a, eb) = derived_cycle();
+        let m = HbModel::build(&trace, CausalityConfig::cafa()).expect("base edges are acyclic");
+        assert_eq!(m.check(), Ok(()), "nothing is derived before a query");
+        m.event_before(a, eb);
+        m.event_before(eb, a);
+        assert_eq!(
+            m.check(),
+            Err(HbError::CyclicHappensBefore {
+                cycle_len: 4,
+                cycle_nodes: ["t2@begin", "t2@record0", "t1@record0", "t1@end"]
+                    .map(String::from)
+                    .to_vec(),
+            })
+        );
+        // The edge that would close the cycle stays out of the relation.
+        assert!(!(m.event_before(a, eb) && m.event_before(eb, a)));
+    }
+
+    #[test]
+    fn recorded_orders_pass_the_check() {
+        let (trace, _, _, connected, destroy) = mytracks();
+        let m = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
+        for &e1 in m.events() {
+            for &e2 in m.events() {
+                m.event_before(e1, e2);
+            }
+        }
+        assert!(m.concurrent_events(connected, destroy));
+        assert_eq!(m.check(), Ok(()));
     }
 
     #[test]
@@ -694,36 +445,5 @@ mod tests {
         assert_eq!(m.order(after, in_ev), OpOrder::Concurrent);
         assert_eq!(m.order(in_ev, after), OpOrder::Concurrent);
         assert_eq!(m.order(before, before), OpOrder::Same);
-    }
-
-    #[test]
-    fn batch_agrees_with_pointwise_queries() {
-        let (trace, use_at, free_at, ..) = mytracks();
-        let m = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
-        let sources = vec![use_at, free_at];
-        let batch = m.batch(&sources);
-        assert_eq!(batch.source_count(), 2);
-        assert_eq!(batch.before(0, free_at), m.happens_before(use_at, free_at));
-        assert_eq!(batch.before(1, use_at), m.happens_before(free_at, use_at));
-        assert!(batch.concurrent(0, 1));
-        assert!(!batch.concurrent(0, 0));
-    }
-
-    #[test]
-    fn batch_same_bracket_sources_are_distinct() {
-        // Two data records in the same event share a bracket node; the
-        // batch must still answer per-source (same-task index compare).
-        let mut b = TraceBuilder::new("bracket");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let e = b.external(q, "ev");
-        b.process_event(e);
-        let r1 = b.write(e, VarId::new(0));
-        let r2 = b.write(e, VarId::new(1));
-        let trace = b.finish().unwrap();
-        let m = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
-        let batch = m.batch(&[r1, r2]);
-        assert!(batch.before(0, r2));
-        assert!(!batch.before(1, r1));
     }
 }

@@ -163,20 +163,7 @@ impl ReachOracle {
     /// cyclic, exactly as [`SyncGraph::topo_order`] reports them.
     pub fn build(graph: &SyncGraph, threads: usize) -> Result<Self, Vec<NodeId>> {
         let topo = graph.topo_order()?;
-        Ok(Self::build_with_topo(graph, &topo, threads))
-    }
-
-    /// Builds the index for `graph` given an already-computed
-    /// topological order of all its nodes (as [`HbModel`] stores).
-    ///
-    /// [`HbModel`]: crate::HbModel
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` does not cover the graph.
-    pub fn build_with_topo(graph: &SyncGraph, topo: &[NodeId], threads: usize) -> Self {
         let v = graph.node_count();
-        assert_eq!(topo.len(), v, "topological order must cover the graph");
         let workers = resolve_threads(threads);
 
         // Coordinates.
@@ -304,7 +291,7 @@ impl ReachOracle {
             });
         }
 
-        ReachOracle {
+        Ok(ReachOracle {
             chain,
             pos,
             linked_until,
@@ -315,7 +302,7 @@ impl ReachOracle {
             end_index,
             end_rows,
             nodes: v,
-        }
+        })
     }
 
     /// Words in column block `b` of a matrix with `words_per_row` words.

@@ -1,41 +1,23 @@
-//! Fixpoint derivation of the atomicity and event-queue rules (§3.3).
+//! The naive reference derivation of the atomicity and event-queue
+//! rules (§3.3).
 //!
 //! Both rule families are *self-referential*: the atomicity rule
 //! consumes `begin(e₁) ≺ end(e₂)` facts, and the queue rules consume
 //! `send ≺ send` facts, that may themselves only hold because of
 //! previously derived edges. The paper notes this is why a one-pass
 //! vector-clock algorithm does not fit (§4.2: "there are operations
-//! whose happens-before relations rely on future operations"). We
-//! iterate rounds until no new edge appears — but *semi-naively*:
+//! whose happens-before relations rely on future operations").
 //!
-//! * The reachability facts each rule premise reads (`which event ends
-//!   / begins / send sites reach node n`) are kept as **persistent
-//!   per-node rows** ([`RowState`]) instead of being recomputed with
-//!   full-graph sweeps every round. After a round adds edges, only the
-//!   rows downstream of the new-edge frontier are recomputed, by a
-//!   worklist walk over the graph ([`propagate_rows`]).
-//! * A round re-evaluates only the **dirty anchors** — events whose
-//!   premise row actually changed — plus the memo-less `sendAtFront`
-//!   rules 2/4 (whose side condition can become true later; front
-//!   sends are rare, so that re-check set is bounded).
-//! * The same delta structure carries across *calls* on one
-//!   [`FixpointState`]: a second run over a grown graph propagates
-//!   exactly the suffix of the graph's edge log added since the rows
-//!   last converged.
-//! * Round-local working sets (the per-anchor conclusion lists) live in
-//!   a reusable SoA arena ([`RoundArena`]) rather than per-round
-//!   `Vec<Vec<_>>` allocations.
-//!
-//! The reference implementation — the textbook §3.3 loop that re-tests
-//! every rule instance against every event pair and send site each
-//! round with freshly swept facts — is kept behind [`fixpoint_naive`] /
-//! [`derive_naive`] (test- and bench-only). Differential tests in
-//! `tests/fixpoint_differential.rs` pin exact equality of the
-//! materialized edge sets, not just the closure. See
-//! `docs/FIXPOINT.md` for the equal-least-fixpoint argument.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`derive_naive`] is the textbook loop: every round sweeps fresh
+//! reachability facts with full [`flow`] passes, re-tests **every** rule
+//! instance against those round-start facts, and materializes each
+//! conclusion not already implied into the graph, until a round adds
+//! nothing. It is the one derivation that materializes every derived
+//! edge. Analysis queries go through the demand engine (`demand.rs`)
+//! instead, which settles only the cones a query probes; the
+//! differential suites compare its answers against this loop, and
+//! `cafa graph` draws this loop's edges. See `docs/FIXPOINT.md` for why
+//! both compute the same least fixpoint.
 
 use cafa_trace::{QueueId, Record, TaskId, Trace};
 
@@ -46,18 +28,6 @@ use crate::graph::{EdgeKind, NodeId, SyncGraph};
 
 /// Upper bound on fixpoint rounds; real traces converge in a handful.
 const MAX_ROUNDS: u32 = 64;
-
-/// Below this many events the semi-naive engine skips its frontier
-/// propagation machinery (worklist heap, dirty-anchor filtering) and
-/// refreshes rows with plain full sweeps each round, like the naive
-/// engine — at small sizes the per-round heap overhead costs more than
-/// the sweeps it avoids (the `synthetic/500` tier of
-/// `BENCH_fixpoint.json` ran 0.6× naive speed before this cutoff).
-/// Rows, memos, and fired edges are identical either way: a full sweep
-/// computes the same exact reachability rows propagation maintains, and
-/// re-evaluating a clean anchor finds no fresh candidates (its premise
-/// row is unchanged and everything in it is memoized).
-const SMALL_EVENT_CUTOFF: usize = 768;
 
 /// Dense numbering of the event tasks of a trace.
 #[derive(Clone, Debug)]
@@ -136,33 +106,9 @@ pub(crate) struct SendSite {
     pub(crate) front: bool,
 }
 
-/// Persistent per-node reachability rows, maintained incrementally
-/// between rounds and between fixpoint calls.
-///
-/// Invariant: whenever `edges_applied == graph.edge_log().len()`, each
-/// row holds exactly the sources (event ends / event begins / send
-/// sites) that strictly reach that node in the current graph — the
-/// same values a full [`flow`] sweep would compute.
-#[derive(Clone, Debug)]
-struct RowState {
-    /// Edge-log position the rows reflect.
-    edges_applied: usize,
-    /// Node count the row vectors cover.
-    node_count: usize,
-    /// Whether `acc_begin` is maintained (atomicity rule on).
-    atomicity: bool,
-    /// Per node: dense events whose `end` reaches it. Width = events.
-    acc_end: Vec<BitSet>,
-    /// Per node: dense events whose `begin` reaches it.
-    acc_begin: Option<Vec<BitSet>>,
-    /// Per node: send sites that reach it. Width = `send_width`.
-    acc_send: Option<Vec<BitSet>>,
-    /// Column count of `acc_send` rows (grows as sends stream in).
-    send_width: usize,
-}
-
-/// Reusable round-local scratch: the SoA conclusion arena plus the
-/// propagation worklist, so a steady-state round allocates nothing.
+/// Reusable round-local scratch: the per-anchor working sets and their
+/// sparse deltas, so a round's conclusions can be absorbed without
+/// per-round `Vec<Vec<_>>` allocations.
 #[derive(Clone, Debug, Default)]
 struct RoundArena {
     /// Per dense event: the working set ("events whose end ≺ its
@@ -187,55 +133,29 @@ struct RoundArena {
     set: BitSet,
     /// Candidate buffer for one anchor evaluation.
     fresh: Vec<usize>,
-    /// Always-empty masks standing in for the memos on the naive path.
+    /// Always-empty masks: every candidate is re-tested each round.
     empty_ev: BitSet,
     empty_send: BitSet,
-    /// Frontier scratch for [`propagate_rows`].
-    queued: BitSet,
-    heap: BinaryHeap<Reverse<(u32, NodeId)>>,
-    /// Anchors whose premise row changed since they were last
-    /// evaluated (accumulated between rounds and across calls).
-    dirty: BitSet,
-    anchors: Vec<u32>,
 }
 
-/// Persistent state of the rule fixpoint, reusable across incremental
-/// graph extensions: the rule indices (per-queue event and send-site
-/// masks, built once per trace), the pair memos, and the semi-naive
-/// engine's reachability rows and scratch arena.
-///
-/// The memo tables record *pairs already decided*: a pair is marked only
-/// once its premise (a reachability fact) holds, premises are
-/// append-monotone, and a fired conclusion persists as a graph edge — so
-/// re-running [`fixpoint`] after appending nodes and base edges only
-/// examines fresh pairs. The exception is the `sendAtFront` rules 2/4,
-/// whose side condition can become true later; those pairs are memo-less
-/// and re-checked every round (the bounded re-check set: front sends are
-/// rare).
+/// The rule indices of one trace: the dense event table, per-queue
+/// event and send-site masks, and the send sites themselves.
 #[derive(Clone, Debug)]
 pub(crate) struct FixpointState {
     /// Dense numbering of the (fixed) event set.
-    pub(crate) table: EventTable,
+    table: EventTable,
     /// Per-queue event masks (dense indices), for the atomicity rule.
     queue_mask: Vec<BitSet>,
     /// Send sites, in ingestion order.
-    pub(crate) sends: Vec<SendSite>,
+    sends: Vec<SendSite>,
     /// Per-queue send masks.
     queue_send_mask: Vec<BitSet>,
-    /// Memo of send pairs already fully decided (rules 1/3, whose
-    /// conclusions depend only on the pair itself).
-    decided: Vec<BitSet>,
-    /// Atomicity memo: pairs already ordered `end(e1) → begin(e2)`.
-    atom_done: Vec<BitSet>,
-    /// Semi-naive reachability rows; `None` until the first run (or
-    /// after a config change forced a rebuild).
-    rows: Option<RowState>,
-    /// Round-local scratch, reused across rounds and calls.
+    /// Round-local scratch, reused across rounds.
     arena: RoundArena,
 }
 
 impl FixpointState {
-    /// Creates empty fixpoint state for `trace`. The task table (hence
+    /// Creates empty rule indices for `trace`. The task table (hence
     /// the event set) must be complete; bodies may still be streaming.
     ///
     /// # Errors
@@ -243,8 +163,7 @@ impl FixpointState {
     /// [`HbError::MalformedTrace`] if an event task has no queue.
     pub(crate) fn new(trace: &Trace) -> Result<Self, HbError> {
         let table = EventTable::new(trace)?;
-        let ev_count = table.len();
-        let mut queue_mask = vec![BitSet::new(ev_count); trace.queue_count()];
+        let mut queue_mask = vec![BitSet::new(table.len()); trace.queue_count()];
         for (i, &q) in table.queue_of.iter().enumerate() {
             queue_mask[q.index()].insert(i);
         }
@@ -253,48 +172,20 @@ impl FixpointState {
             queue_mask,
             sends: Vec::new(),
             queue_send_mask: vec![BitSet::new(0); trace.queue_count()],
-            decided: Vec::new(),
-            atom_done: vec![BitSet::new(ev_count); ev_count],
-            rows: None,
             arena: RoundArena::default(),
         })
     }
 
-    /// Registers newly ingested send sites, growing the pair memos.
+    /// Registers send sites, growing the per-queue send masks.
     pub(crate) fn add_sends(&mut self, new: &[SendSite]) {
-        if new.is_empty() {
-            return;
-        }
         let count = self.sends.len() + new.len();
         for m in &mut self.queue_send_mask {
             m.grow(count);
         }
-        for d in &mut self.decided {
-            d.grow(count);
-        }
         for s in new {
-            let i = self.sends.len();
-            self.queue_send_mask[s.queue.index()].insert(i);
+            self.queue_send_mask[s.queue.index()].insert(self.sends.len());
             self.sends.push(*s);
-            self.decided.push(BitSet::new(count));
         }
-    }
-
-    /// The converged event-order closure, if the rows are current for
-    /// `g`: per dense event, the events whose `end` precedes its
-    /// `begin`. Lets model finalization skip one full flow sweep.
-    pub(crate) fn converged_closure(&self, g: &SyncGraph) -> Option<Vec<BitSet>> {
-        let rows = self.rows.as_ref()?;
-        if rows.edges_applied != g.edge_log().len() || rows.node_count != g.node_count() {
-            return None;
-        }
-        Some(
-            self.table
-                .events
-                .iter()
-                .map(|&e| rows.acc_end[g.begin(e) as usize].clone())
-                .collect(),
-        )
     }
 }
 
@@ -305,9 +196,8 @@ pub struct DerivationStats {
     pub rounds: u32,
     /// Rule instances evaluated: premise candidates tested by the
     /// atomicity rule and queue rules 1/3, plus every rules-2/4
-    /// side-condition check. The semi-naive engine only pays for fresh
-    /// candidates at dirty anchors; the naive reference re-tests every
-    /// candidate every round.
+    /// side-condition check. The naive loop re-tests every candidate
+    /// every round.
     pub instances: u64,
     /// Edges added by the atomicity rule.
     pub atomicity_edges: usize,
@@ -370,8 +260,10 @@ pub(crate) fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
     sends
 }
 
-/// Runs the atomicity + queue-rule fixpoint over `g`, adding derived
-/// `end(e₁) → begin(e₂)` edges in place.
+/// Runs the naive §3.3 fixpoint over `g`, adding every derived
+/// `end(e₁) → begin(e₂)` edge in place. The demand engine answers
+/// analysis queries; this loop is the reference the differential
+/// suites compare it against, and the derived edges `cafa graph` draws.
 ///
 /// # Errors
 ///
@@ -379,33 +271,6 @@ pub(crate) fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
 /// (an inconsistent trace), [`HbError::DerivationDiverged`] if the
 /// fixpoint fails to converge within an internal round limit,
 /// [`HbError::MalformedTrace`] if an event task has no queue.
-pub fn derive(
-    g: &mut SyncGraph,
-    trace: &Trace,
-    config: &CausalityConfig,
-) -> Result<DerivationStats, HbError> {
-    let mut st = FixpointState::new(trace)?;
-    st.add_sends(&collect_sends(g, trace));
-    fixpoint(g, config, &mut st)
-}
-
-/// The eager reference engine under its differential-testing name:
-/// materializes every derived edge of the §3.3 fixpoint into `g`, like
-/// [`derive`]. Production query paths go through the demand engine
-/// (`demand.rs`) on large traces; this entry point exists so
-/// differential suites can compare the demand engine's lazy answers
-/// against the fully materialized relation.
-pub fn derive_eager_reference(
-    g: &mut SyncGraph,
-    trace: &Trace,
-    config: &CausalityConfig,
-) -> Result<DerivationStats, HbError> {
-    derive(g, trace, config)
-}
-
-/// The naive reference derivation: identical signature and result to
-/// [`derive`], but driven by [`fixpoint_naive`]. Exposed (hidden) for
-/// the differential test suite and the fixpoint benchmark only.
 #[doc(hidden)]
 pub fn derive_naive(
     g: &mut SyncGraph,
@@ -417,7 +282,7 @@ pub fn derive_naive(
     fixpoint_naive(g, config, &mut st)
 }
 
-/// Rule indices shared by both engines (immutable during a call).
+/// Borrowed rule indices (immutable during a round).
 struct RuleIndex<'a> {
     table: &'a EventTable,
     queue_mask: &'a [BitSet],
@@ -477,8 +342,8 @@ fn absorb_conclusion(
     // — the middle link is i1's own begin→end program chain, which an
     // incremental graph only has once i1's task is sealed. Without it
     // the fold would smuggle facts the graph does not imply into the
-    // working set (and, through the pair memos, suppress real edges
-    // forever), so absorb only the direct conclusion.
+    // working set and suppress real edges, so absorb only the direct
+    // conclusion.
     let Some(acc_begin) = rows.acc_begin else {
         return;
     };
@@ -549,17 +414,12 @@ fn prior_contains(
 
 /// Applies one round of rules over the round-start facts in `rows`:
 /// atomicity and queue rules 1/3 at each anchor in `anchors` (dense
-/// events, in event order), then the memo-less rules 2/4 at every
-/// front send. This is the single rule core shared by the semi-naive
-/// and naive engines; they differ only in how `rows` are obtained, in
-/// which anchors they evaluate, and in whether memos are consulted
-/// (`memos: None` is the naive textbook mode that re-tests every
-/// candidate).
-#[allow(clippy::too_many_arguments)]
+/// events, in event order), then rules 2/4 at every front send. Every
+/// candidate is re-tested; a conclusion is materialized unless the
+/// anchor's working set already implies it.
 fn run_round(
     g: &mut SyncGraph,
     idx: &RuleIndex<'_>,
-    mut memos: Option<(&mut [BitSet], &mut [BitSet])>,
     rows: &RowView<'_>,
     ctx: &OrderCtx<'_>,
     anchors: &[u32],
@@ -576,7 +436,6 @@ fn run_round(
         empty_send,
         delta_buf,
         delta_span,
-        ..
     } = arena;
     let ev_count = ctx.event_begin.len();
     if evord.len() < ev_count {
@@ -623,12 +482,8 @@ fn run_round(
             let e_j = idx.table.events[j];
             let reach_end = &acc_begin[g.end(e_j) as usize];
             let mask = &idx.queue_mask[idx.table.queue_of[j].index()];
-            let not: &BitSet = match &memos {
-                Some((atom_done, _)) => &atom_done[j],
-                None => empty_ev,
-            };
             fresh.clear();
-            reach_end.for_each_in_diff(mask, not, |i1| {
+            reach_end.for_each_in_diff(mask, empty_ev, |i1| {
                 if i1 != j {
                     fresh.push(i1);
                 }
@@ -640,9 +495,6 @@ fn run_round(
             // equal-delay chains posted from one task.
             fresh.sort_by_key(|&i1| std::cmp::Reverse(ctx.topo_pos[ctx.event_begin[i1] as usize]));
             for &i1 in fresh.iter() {
-                if let Some((atom_done, _)) = &mut memos {
-                    atom_done[j].insert(i1);
-                }
                 if set.contains(i1) {
                     continue; // already implied
                 }
@@ -663,12 +515,8 @@ fn run_round(
             if !s2.front {
                 let reach = &acc_send[s2.node as usize];
                 let mask = &idx.queue_send_mask[s2.queue.index()];
-                let not: &BitSet = match &memos {
-                    Some((_, decided)) => &decided[sj],
-                    None => empty_send,
-                };
                 fresh.clear();
-                reach.for_each_in_diff(mask, not, |i| {
+                reach.for_each_in_diff(mask, empty_send, |i| {
                     if i != sj {
                         fresh.push(i);
                     }
@@ -684,9 +532,6 @@ fn run_round(
                         .unwrap_or(std::cmp::Reverse(0))
                 });
                 for &i in fresh.iter() {
-                    if let Some((_, decided)) = &mut memos {
-                        decided[sj].insert(i);
-                    }
                     let s1 = &idx.sends[i];
                     if !(s1.front || s1.delay_ms <= s2.delay_ms) {
                         continue;
@@ -717,9 +562,7 @@ fn run_round(
     }
 
     // Queue rules 2 and 4: a front-send s2 ordered after s1, with
-    // s2 ≺ begin(e1) — the conclusion reverses (e2 runs first). These
-    // pairs are memo-less (the side condition can become true later)
-    // and re-checked every round in both engines.
+    // s2 ≺ begin(e1) — the conclusion reverses (e2 runs first).
     if let Some(acc_send) = rows.acc_send {
         for (j, s2) in idx.sends.iter().enumerate() {
             if !s2.front {
@@ -745,72 +588,6 @@ fn run_round(
                 let rule = if s1.front { 4u8 } else { 2 };
                 if g.add_edge(g.end(s2.event), begin_e1, EdgeKind::Queue(rule)) {
                     stats.queue_edges[if s1.front { 3 } else { 1 }] += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Incrementally recomputes the reachability rows affected by the
-/// `suffix` of newly added edges: every edge target is enqueued, and
-/// affected nodes are processed **in topological order** (a min-heap
-/// keyed by `topo_pos`), so each node's row is recomputed from its
-/// predecessors' final rows exactly once — the frontier-sized
-/// equivalent of one [`flow`] sweep, not a chaotic iteration. Rows
-/// only grow (the graph only gains edges), so a recompute is a
-/// word-level union.
-///
-/// `topo_pos` must be a valid topological numbering of the **current**
-/// graph (including the suffix edges): when a node is popped, every
-/// predecessor that could still change has a smaller position and was
-/// therefore popped first.
-///
-/// `on_changed` fires once for every node whose row grew.
-#[allow(clippy::too_many_arguments)]
-fn propagate_rows(
-    g: &SyncGraph,
-    rows: &mut [BitSet],
-    marks: &[Option<u32>],
-    width: usize,
-    suffix: &[(NodeId, NodeId, EdgeKind)],
-    topo_pos: &[u32],
-    queued: &mut BitSet,
-    heap: &mut BinaryHeap<Reverse<(u32, NodeId)>>,
-    mut on_changed: impl FnMut(NodeId),
-) {
-    let n_nodes = g.node_count();
-    if queued.capacity() < n_nodes {
-        queued.grow(n_nodes);
-    }
-    queued.clear();
-    heap.clear();
-    for &(_, to, _) in suffix {
-        if queued.insert(to as usize) {
-            heap.push(Reverse((topo_pos[to as usize], to)));
-        }
-    }
-    while let Some(Reverse((_, n))) = heap.pop() {
-        // The queued bit stays set: processed-in-order nodes are final.
-        // Rows only grow, so unioning the predecessors straight into
-        // the node's row (taken out to satisfy the borrow checker) is
-        // exactly the recompute.
-        let mut row = std::mem::take(&mut rows[n as usize]);
-        if row.capacity() != width {
-            row = BitSet::new(width);
-        }
-        let mut grew = false;
-        for p in g.preds(n) {
-            grew |= row.union_with(&rows[p as usize]);
-            if let Some(m) = marks[p as usize] {
-                grew |= row.insert(m as usize);
-            }
-        }
-        rows[n as usize] = row;
-        if grew {
-            on_changed(n);
-            for (s, _) in g.succs(n) {
-                if queued.insert(s as usize) {
-                    heap.push(Reverse((topo_pos[s as usize], s)));
                 }
             }
         }
@@ -863,327 +640,9 @@ fn call_marks(
     }
 }
 
-/// The semi-naive fixpoint behind [`derive`], factored over persistent
-/// [`FixpointState`] so incremental sessions can extend a previous run:
-/// pairs memoized in `st` are never re-examined, converged reachability
-/// rows are reused and only the appended edge-log suffix is propagated,
-/// and re-running after new nodes/edges were appended converges to the
-/// same least fixpoint as a batch derivation (materialized edges may
-/// differ where a fact is already implied transitively; the closure is
-/// identical).
-pub(crate) fn fixpoint(
-    g: &mut SyncGraph,
-    config: &CausalityConfig,
-    st: &mut FixpointState,
-) -> Result<DerivationStats, HbError> {
-    fixpoint_with_limit(g, config, st, MAX_ROUNDS)
-}
-
-/// [`fixpoint`] with an explicit round limit (tests exercise the
-/// non-convergence diagnostic by lowering it).
-pub(crate) fn fixpoint_with_limit(
-    g: &mut SyncGraph,
-    config: &CausalityConfig,
-    st: &mut FixpointState,
-    max_rounds: u32,
-) -> Result<DerivationStats, HbError> {
-    let mut stats = DerivationStats::default();
-    if !config.atomicity_rule && !config.queue_rules {
-        // Still verify acyclicity so every model is checked.
-        g.topo_order().map_err(|nodes| HbError::cyclic(g, &nodes))?;
-        stats.rounds = 1;
-        return Ok(stats);
-    }
-
-    let ev_count = st.table.len();
-    let track_send = config.queue_rules && !st.sends.is_empty();
-
-    // Fast path: rows already converged for this exact graph — nothing
-    // appended since, so the previous convergence still stands.
-    if let Some(rows) = &st.rows {
-        if rows.edges_applied == g.edge_log().len()
-            && rows.node_count == g.node_count()
-            && rows.atomicity == config.atomicity_rule
-            && rows.acc_send.is_some() == track_send
-            && (!track_send || rows.send_width == st.sends.len())
-        {
-            stats.rounds = 1;
-            return Ok(stats);
-        }
-    }
-
-    let marks = call_marks(g, &st.table, &st.sends, track_send);
-
-    let FixpointState {
-        table,
-        queue_mask,
-        sends,
-        queue_send_mask,
-        decided,
-        atom_done,
-        rows: rows_slot,
-        arena,
-    } = st;
-
-    // Size the arena for this call.
-    if arena.empty_ev.capacity() != ev_count {
-        arena.empty_ev = BitSet::new(ev_count);
-    }
-    if arena.empty_send.capacity() != sends.len() {
-        arena.empty_send = BitSet::new(sends.len());
-    }
-    if arena.dirty.capacity() < ev_count {
-        arena.dirty.grow(ev_count);
-    }
-    arena.dirty.clear();
-
-    // Bring the rows up to date with the graph: reuse them (the loop
-    // below propagates the appended edge-log suffix before evaluating
-    // anchors) when the previous rows are compatible and the suffix is
-    // small, rebuild with full sweeps otherwise.
-    let compatible = rows_slot.as_ref().is_some_and(|rows| {
-        rows.atomicity == config.atomicity_rule && rows.acc_send.is_some() == track_send
-    });
-    let suffix_len = rows_slot
-        .as_ref()
-        .map_or(usize::MAX, |rows| g.edge_log().len() - rows.edges_applied);
-    let reuse = compatible && suffix_len.saturating_mul(4) <= g.edge_count();
-
-    let mut dirty_all = false;
-    let mut topo_cache: Option<Vec<NodeId>> = None;
-
-    if reuse {
-        let rows = rows_slot.as_mut().expect("reuse implies rows");
-        // Extend row vectors for nodes appended since the last call.
-        let n_nodes = g.node_count();
-        rows.acc_end.resize_with(n_nodes, || BitSet::new(ev_count));
-        if let Some(acc_begin) = &mut rows.acc_begin {
-            acc_begin.resize_with(n_nodes, || BitSet::new(ev_count));
-        }
-        if track_send {
-            let acc_send = rows.acc_send.as_mut().expect("compat implies send rows");
-            if rows.send_width < sends.len() {
-                for row in acc_send.iter_mut() {
-                    row.grow(sends.len());
-                }
-                rows.send_width = sends.len();
-            }
-            acc_send.resize_with(n_nodes, || BitSet::new(sends.len()));
-        }
-        rows.node_count = n_nodes;
-        // `rows.edges_applied` stays stale: the round loop propagates
-        // the cross-call suffix once it has a topological numbering of
-        // the current graph.
-    } else {
-        // Fresh build: three linear sweeps over the current graph.
-        let topo = g.topo_order().map_err(|nodes| HbError::cyclic(g, &nodes))?;
-        let acc_end = flow(g, &topo, &marks.end_marks, ev_count);
-        let acc_begin = config
-            .atomicity_rule
-            .then(|| flow(g, &topo, &marks.begin_marks, ev_count));
-        let acc_send = track_send.then(|| flow(g, &topo, &marks.send_marks, sends.len()));
-        *rows_slot = Some(RowState {
-            edges_applied: g.edge_log().len(),
-            node_count: g.node_count(),
-            atomicity: config.atomicity_rule,
-            acc_end,
-            acc_begin,
-            acc_send,
-            send_width: sends.len(),
-        });
-        dirty_all = true;
-        topo_cache = Some(topo);
-    }
-
-    let idx = RuleIndex {
-        table,
-        queue_mask,
-        sends,
-        queue_send_mask,
-    };
-
-    // Per-call ordering scratch, refilled each round.
-    let mut topo_pos: Vec<u32> = vec![0; g.node_count()];
-    let mut event_order: Vec<u32> = (0..ev_count as u32).collect();
-    let mut order_pos: Vec<u32> = vec![0; ev_count];
-    let mut anchors = std::mem::take(&mut arena.anchors);
-    let mut last_delta = (0usize, 0usize);
-
-    loop {
-        stats.rounds += 1;
-        if stats.rounds > max_rounds {
-            let delta = &g.edge_log()[last_delta.0..last_delta.1];
-            let err = HbError::diverged(g, stats.rounds - 1, delta);
-            arena.anchors = anchors;
-            return Err(err);
-        }
-        let topo = match topo_cache.take() {
-            Some(t) => t,
-            None => match g.topo_order() {
-                Ok(t) => t,
-                Err(nodes) => {
-                    let err = HbError::cyclic(g, &nodes);
-                    arena.anchors = anchors;
-                    return Err(err);
-                }
-            },
-        };
-        for (pos, &n) in topo.iter().enumerate() {
-            topo_pos[n as usize] = pos as u32;
-        }
-
-        // Bring the rows up to date with the graph before evaluating
-        // anchors: propagate the edge-log suffix appended since the
-        // rows last converged — the cross-call base edges on the first
-        // iteration of a reused state, the previous round's conclusion
-        // delta afterwards — collecting the anchors whose premise rows
-        // changed as this round's dirty set. This is the only
-        // propagation site, and it runs with a topological numbering
-        // of the *current* graph (required by [`propagate_rows`]).
-        {
-            let rows = rows_slot.as_mut().expect("rows built above");
-            if rows.edges_applied < g.edge_log().len() && ev_count < SMALL_EVENT_CUTOFF {
-                // Small-trace path: full sweeps, every anchor re-checked
-                // (see [`SMALL_EVENT_CUTOFF`]); results are identical.
-                rows.acc_end = flow(g, &topo, &marks.end_marks, ev_count);
-                if rows.acc_begin.is_some() {
-                    rows.acc_begin = Some(flow(g, &topo, &marks.begin_marks, ev_count));
-                }
-                if track_send {
-                    rows.acc_send = Some(flow(g, &topo, &marks.send_marks, sends.len()));
-                    rows.send_width = sends.len();
-                }
-                rows.node_count = g.node_count();
-                rows.edges_applied = g.edge_log().len();
-                dirty_all = true;
-            }
-            if rows.edges_applied < g.edge_log().len() {
-                arena.dirty.clear();
-                let suffix = &g.edge_log()[rows.edges_applied..];
-                propagate_rows(
-                    g,
-                    &mut rows.acc_end,
-                    &marks.end_marks,
-                    ev_count,
-                    suffix,
-                    &topo_pos,
-                    &mut arena.queued,
-                    &mut arena.heap,
-                    |_| {},
-                );
-                if let Some(acc_begin) = &mut rows.acc_begin {
-                    let dirty = &mut arena.dirty;
-                    propagate_rows(
-                        g,
-                        acc_begin,
-                        &marks.begin_marks,
-                        ev_count,
-                        suffix,
-                        &topo_pos,
-                        &mut arena.queued,
-                        &mut arena.heap,
-                        |n| {
-                            // The atomicity premise of e_j reads the
-                            // row at end(e_j).
-                            if let Some(j) = marks.end_marks[n as usize] {
-                                dirty.insert(j as usize);
-                            }
-                        },
-                    );
-                }
-                if track_send {
-                    let acc_send = rows.acc_send.as_mut().expect("send rows present");
-                    let dirty = &mut arena.dirty;
-                    propagate_rows(
-                        g,
-                        acc_send,
-                        &marks.send_marks,
-                        sends.len(),
-                        suffix,
-                        &topo_pos,
-                        &mut arena.queued,
-                        &mut arena.heap,
-                        |n| {
-                            // Rules 1/3 at anchor e_j read the row at
-                            // e_j's posting send site.
-                            if let Some(si) = marks.send_marks[n as usize] {
-                                let s = &sends[si as usize];
-                                if !s.front {
-                                    if let Some(j) = table.dense(s.event) {
-                                        dirty.insert(j as usize);
-                                    }
-                                }
-                            }
-                        },
-                    );
-                }
-                rows.edges_applied = g.edge_log().len();
-            }
-        }
-
-        event_order.sort_by_key(|&i| topo_pos[marks.event_begin[i as usize] as usize]);
-        for (pos, &i) in event_order.iter().enumerate() {
-            order_pos[i as usize] = pos as u32;
-        }
-        anchors.clear();
-        if dirty_all {
-            anchors.extend_from_slice(&event_order);
-        } else {
-            anchors.extend(
-                event_order
-                    .iter()
-                    .copied()
-                    .filter(|&i| arena.dirty.contains(i as usize)),
-            );
-        }
-
-        let rows = rows_slot.as_ref().expect("rows built above");
-        let view = RowView {
-            acc_end: &rows.acc_end,
-            acc_begin: rows.acc_begin.as_deref(),
-            acc_send: rows.acc_send.as_deref(),
-        };
-        let ctx = OrderCtx {
-            event_begin: &marks.event_begin,
-            event_end: &marks.event_end,
-            send_of_event: &marks.send_of_event,
-            topo_pos: &topo_pos,
-            order_pos: &order_pos,
-        };
-        let log_before = g.edge_log().len();
-        run_round(
-            g,
-            &idx,
-            Some((atom_done, decided)),
-            &view,
-            &ctx,
-            &anchors,
-            arena,
-            &mut stats,
-        );
-        let log_after = g.edge_log().len();
-
-        if log_after == log_before {
-            arena.anchors = anchors;
-            return Ok(stats);
-        }
-        // The next iteration propagates this delta into the rows once
-        // it has a topological numbering that covers the new edges.
-        last_delta = (log_before, log_after);
-        dirty_all = false;
-    }
-}
-
-/// The naive reference loop: every round sweeps fresh reachability
-/// facts with three full [`flow`] passes and re-tests **every** rule
-/// instance — all event pairs and send-site pairs — with no memos and
-/// no dirty tracking. Kept solely as the differential-test and
-/// benchmark baseline; it shares [`run_round`] with the semi-naive
-/// engine, so both materialize identical edge sets round by round.
-///
-/// Does not read or write `st`'s memos or persistent rows (only its
-/// indices and scratch arena), so it can be interleaved with
-/// [`fixpoint`] runs on separate graphs for differential testing.
+/// The naive loop behind [`derive_naive`]: every round sweeps fresh
+/// reachability facts with three full [`flow`] passes and re-tests
+/// **every** rule instance — all event pairs and send-site pairs.
 pub(crate) fn fixpoint_naive(
     g: &mut SyncGraph,
     config: &CausalityConfig,
@@ -1206,7 +665,6 @@ pub(crate) fn fixpoint_naive(
         sends,
         queue_send_mask,
         arena,
-        ..
     } = st;
 
     if arena.empty_ev.capacity() != ev_count {
@@ -1236,8 +694,6 @@ pub(crate) fn fixpoint_naive(
         }
         let topo = g.topo_order().map_err(|nodes| HbError::cyclic(g, &nodes))?;
 
-        // Full sweeps: the naive per-round cost the semi-naive engine
-        // replaces with frontier propagation.
         let acc_end = flow(g, &topo, &marks.end_marks, ev_count);
         let acc_begin = config
             .atomicity_rule
@@ -1266,7 +722,7 @@ pub(crate) fn fixpoint_naive(
         };
         let anchors = event_order.clone();
         let log_before = g.edge_log().len();
-        run_round(g, &idx, None, &view, &ctx, &anchors, arena, &mut stats);
+        run_round(g, &idx, &view, &ctx, &anchors, arena, &mut stats);
         let log_after = g.edge_log().len();
         if log_after == log_before {
             return Ok(stats);
@@ -1284,7 +740,7 @@ mod tests {
     fn run(trace: &Trace) -> (SyncGraph, DerivationStats) {
         let config = CausalityConfig::cafa();
         let mut g = base_graph(trace, &config);
-        let stats = derive(&mut g, trace, &config).expect("derivation converges");
+        let stats = derive_naive(&mut g, trace, &config).expect("derivation converges");
         (g, stats)
     }
 
@@ -1432,7 +888,7 @@ mod tests {
         let mut config = CausalityConfig::cafa();
         config.external_rule = false;
         let mut g = base_graph(&trace, &config);
-        let stats = derive(&mut g, &trace, &config).unwrap();
+        let stats = derive_naive(&mut g, &trace, &config).unwrap();
         assert!(ordered(&g, a, e), "atomicity lifts fork≺perform to A≺B");
         assert!(stats.atomicity_edges >= 1);
     }
@@ -1469,42 +925,6 @@ mod tests {
         assert_eq!(stats.derived_edges(), 0);
     }
 
-    /// The naive reference materializes the exact same edges, rounds,
-    /// and derived-edge counts as the semi-naive engine, while
-    /// evaluating at least as many rule instances.
-    #[test]
-    fn naive_reference_matches_semi_naive() {
-        let mut b = TraceBuilder::new("cascade");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let a = b.post(t, q, "A", 0);
-        let e = b.post(t, q, "B", 0);
-        b.process_event(a);
-        b.process_event(e);
-        let c = b.post(e, q, "C", 0);
-        let f = b.post_front(e, q, "F");
-        b.process_event(f);
-        b.process_event(c);
-        let trace = b.finish().unwrap();
-
-        let config = CausalityConfig::cafa();
-        let mut g_semi = base_graph(&trace, &config);
-        let semi = derive(&mut g_semi, &trace, &config).unwrap();
-        let mut g_naive = base_graph(&trace, &config);
-        let naive = derive_naive(&mut g_naive, &trace, &config).unwrap();
-
-        let mut edges_semi = g_semi.edge_log().to_vec();
-        let mut edges_naive = g_naive.edge_log().to_vec();
-        edges_semi.sort_by_key(|&(f, t, _)| (f, t));
-        edges_naive.sort_by_key(|&(f, t, _)| (f, t));
-        assert_eq!(edges_semi, edges_naive);
-        assert_eq!(semi.rounds, naive.rounds);
-        assert_eq!(semi.atomicity_edges, naive.atomicity_edges);
-        assert_eq!(semi.queue_edges, naive.queue_edges);
-        assert!(naive.instances >= semi.instances);
-    }
-
     /// An event task with no queue surfaces as a typed error, not a
     /// panic (regression: `EventTable::new` used to `expect`).
     #[test]
@@ -1526,71 +946,8 @@ mod tests {
         let config = CausalityConfig::cafa();
         let mut g = SyncGraph::from_trace(&trace);
         assert!(matches!(
-            derive(&mut g, &trace, &config),
+            derive_naive(&mut g, &trace, &config),
             Err(HbError::MalformedTrace { .. })
         ));
-    }
-
-    /// Hitting the round limit reports a typed non-convergence error
-    /// naming the last delta.
-    #[test]
-    fn round_limit_names_last_delta() {
-        // The cascade trace needs ≥ 2 rounds; a limit of 1 must fail
-        // after round 1 with that round's edges as the delta.
-        let mut b = TraceBuilder::new("cascade");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let a = b.post(t, q, "A", 0);
-        let e = b.post(t, q, "B", 0);
-        b.process_event(a);
-        b.process_event(e);
-        let c = b.post(e, q, "C", 0);
-        b.process_event(c);
-        let trace = b.finish().unwrap();
-        let config = CausalityConfig::cafa();
-        let mut g = base_graph(&trace, &config);
-        let mut st = FixpointState::new(&trace).unwrap();
-        st.add_sends(&collect_sends(&g, &trace));
-        let err = fixpoint_with_limit(&mut g, &config, &mut st, 1).unwrap_err();
-        match err {
-            HbError::DerivationDiverged {
-                rounds,
-                delta_edges,
-                last_delta,
-            } => {
-                assert_eq!(rounds, 1);
-                assert!(delta_edges >= 1);
-                assert!(!last_delta.is_empty());
-            }
-            other => panic!("expected DerivationDiverged, got {other:?}"),
-        }
-    }
-
-    /// A converged state re-run on an unchanged graph takes the O(1)
-    /// fast path: one round, zero instances.
-    #[test]
-    fn converged_rerun_is_a_noop() {
-        let mut b = TraceBuilder::new("rerun");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let a = b.post(t, q, "A", 0);
-        let e = b.post(t, q, "B", 0);
-        b.process_event(a);
-        b.process_event(e);
-        let trace = b.finish().unwrap();
-        let config = CausalityConfig::cafa();
-        let mut g = base_graph(&trace, &config);
-        let mut st = FixpointState::new(&trace).unwrap();
-        st.add_sends(&collect_sends(&g, &trace));
-        let first = fixpoint(&mut g, &config, &mut st).unwrap();
-        assert!(first.derived_edges() >= 1);
-        let edges_before = g.edge_log().len();
-        let second = fixpoint(&mut g, &config, &mut st).unwrap();
-        assert_eq!(second.rounds, 1);
-        assert_eq!(second.instances, 0);
-        assert_eq!(second.derived_edges(), 0);
-        assert_eq!(g.edge_log().len(), edges_before);
     }
 }

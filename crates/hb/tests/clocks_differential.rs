@@ -11,7 +11,7 @@
 //!   shapes — the conventional baseline, the FastTrack-style ablation,
 //!   CAFA's bare base edges, and the conventional baseline without its
 //!   total event order. A cyclic tape must be rejected exactly when the
-//!   eager builder rejects it;
+//!   naive derivation rejects it;
 //! * **real traces**: the ten catalog apps re-recorded under seeds
 //!   Table 1 never uses, and `gen:7:0..9`, on sampled sources under
 //!   the two rule-free presets.
@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 
 use cafa_hb::bitset::BitSet;
-use cafa_hb::{CausalityConfig, HbModel, NodeId, SyncGraph};
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, HbModel, NodeId, SyncGraph};
 use cafa_trace::arbitrary::trace_from_tape;
 use cafa_trace::{OpRef, TaskId, Trace};
 
@@ -42,12 +42,10 @@ fn rule_free_configs() -> [CausalityConfig; 4] {
     ]
 }
 
-/// Builds `config`'s model and checks it runs on the clocks: preparing
-/// reachability builds no oracle, and there is no demand engine.
+/// Builds `config`'s model and checks it runs on the clocks: there is
+/// no demand engine.
 fn clocks_model(trace: &Trace, config: CausalityConfig) -> Option<HbModel<'_>> {
     let model = HbModel::build(trace, config).ok()?;
-    model.ensure_reachability(1);
-    assert!(model.oracle().is_none(), "rule-free builds need no oracle");
     assert!(
         model.demand_stats().is_none(),
         "rule-free builds skip demand"
@@ -178,8 +176,8 @@ fn assert_sampled(trace: &Trace, model: &HbModel<'_>, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary tapes: the clocks accept exactly what the eager
-    /// builder accepts, and then answer every pair like the DFS.
+    /// Arbitrary tapes: the clocks accept exactly what the naive
+    /// derivation accepts, and then answer every pair like the DFS.
     #[test]
     fn clocks_match_dfs_on_arbitrary_traces(
         tape in proptest::collection::vec(any::<u8>(), 0..400),
@@ -187,9 +185,10 @@ proptest! {
         let trace = trace_from_tape(&tape);
         for config in rule_free_configs() {
             let model = clocks_model(&trace, config);
+            let mut graph = base_graph(&trace, &config);
             prop_assert_eq!(
                 model.is_some(),
-                HbModel::build_eager(&trace, config).is_ok(),
+                derive_naive(&mut graph, &trace, &config).is_ok(),
                 "acceptance diverged under {:?}",
                 config
             );

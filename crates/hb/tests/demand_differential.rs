@@ -1,13 +1,16 @@
 //! Differential tests: the demand-driven query engine (`demand.rs`)
-//! against the eager fixpoint it replaces at scale.
+//! against the naive reference derivation (`derive_naive`).
 //!
-//! The two backends are **not** expected to materialize the same edge
-//! sets — the demand core transitively-reduces derived edges on insert
-//! and evaluates premises only inside the cones that queries probe. The
+//! The two are **not** expected to materialize the same edge sets —
+//! the demand core transitively-reduces derived edges on insert and
+//! evaluates premises only inside the cones that queries probe. The
 //! contract is weaker and more useful: both compute the *same unique
 //! least fixpoint* of the §3.3 rules, so every **answer** — event-level
 //! `end(e₁) ≺ begin(e₂)` and operation-level `a ≺ b` — must agree
-//! exactly. These tests pin that contract across three input families:
+//! exactly, and the demand engine must reject a trace (at build, or
+//! through `check()` after its queries) exactly when the naive
+//! derivation finds the relation cyclic. These tests pin that contract
+//! across three input families:
 //!
 //! * **random tape traces** ([`trace_from_tape`]), all event pairs and
 //!   all operation pairs, under both rule configs;
@@ -15,13 +18,18 @@
 //!   simulation seeds Table 1 does not use;
 //! * **incremental seal-by-seal sequences** — a demand session that
 //!   never materializes rule edges, checked after every seal against a
-//!   naive-reference session that materializes everything and answers
-//!   by depth-first search over its graph.
+//!   naive-reference session that materializes everything.
+//!
+//! The reference answers every pair from one closure sweep over its
+//! materialized graph in topological order, not one search per pair.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use cafa_hb::bitset::BitSet;
-use cafa_hb::{CausalityConfig, HbModel, IncrementalHb};
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, HbModel, IncrementalHb};
+use cafa_hb::{NodeId, SyncGraph};
 use cafa_trace::arbitrary::trace_from_tape;
 use cafa_trace::{OpRef, TaskId, Trace};
 
@@ -51,62 +59,139 @@ fn ops_of(trace: &Trace, cap: usize) -> Vec<OpRef> {
     sample(&all, cap)
 }
 
-/// Builds one model per backend (pinned explicitly — the comparison
-/// must not collapse to demand-vs-demand under `CAFA_HB_ENGINE`) and
-/// asserts exact agreement on acceptance, every event-pair answer, and
-/// every (subsampled) operation-pair answer.
-fn assert_backends_agree(trace: &Trace, config: CausalityConfig) {
-    let eager = HbModel::build_eager(trace, config);
-    let demand = HbModel::build_demand(trace, config);
-    let (eager, demand) = match (eager, demand) {
-        (Ok(e), Ok(d)) => (e, d),
-        (Err(_), Err(_)) => return, // both reject (e.g. a cyclic tape)
-        (e, d) => panic!(
-            "backends disagree on acceptance: eager ok={} demand ok={}",
-            e.is_ok(),
-            d.is_ok()
-        ),
-    };
-    let events = sample(&events_of(trace), 140);
-    for &a in &events {
-        for &b in &events {
-            assert_eq!(
-                eager.event_before(a, b),
-                demand.event_before(a, b),
-                "event_before({a}, {b}) diverged"
-            );
+/// Which of a fixed set of source nodes strictly reach each node of a
+/// materialized graph, computed in one sweep over a topological order.
+struct Closure<'g> {
+    graph: &'g SyncGraph,
+    column: HashMap<NodeId, usize>,
+    rows: Vec<BitSet>,
+}
+
+impl<'g> Closure<'g> {
+    /// Sweeps `graph`, which must be acyclic, for `sources`.
+    fn new(graph: &'g SyncGraph, sources: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut column = HashMap::new();
+        for s in sources {
+            let next = column.len();
+            column.entry(s).or_insert(next);
+        }
+        let topo = graph.topo_order().expect("the reference graph is acyclic");
+        let mut rows = vec![BitSet::new(0); graph.node_count()];
+        for &n in &topo {
+            let mut row = BitSet::new(column.len());
+            for p in graph.preds(n) {
+                row.union_with(&rows[p as usize]);
+                if let Some(&c) = column.get(&p) {
+                    row.insert(c);
+                }
+            }
+            rows[n as usize] = row;
+        }
+        Self {
+            graph,
+            column,
+            rows,
         }
     }
-    for &a in &ops_of(trace, 120) {
-        for &b in &ops_of(trace, 120) {
-            assert_eq!(
-                eager.happens_before(a, b),
-                demand.happens_before(a, b),
-                "happens_before({a:?}, {b:?}) diverged"
-            );
+
+    /// A non-empty path `from → to`; `from` must be a source.
+    fn reaches(&self, from: NodeId, to: NodeId) -> bool {
+        self.rows[to as usize].contains(self.column[&from])
+    }
+
+    fn event_before(&self, a: TaskId, b: TaskId) -> bool {
+        a != b && self.reaches(self.graph.end(a), self.graph.begin(b))
+    }
+
+    fn happens_before(&self, a: OpRef, b: OpRef) -> bool {
+        if a.task == b.task {
+            return a.index < b.index;
         }
+        self.reaches(self.graph.bracket_after(a), self.graph.bracket_before(b))
+    }
+}
+
+/// The closure sources `event_before`/`happens_before` read for
+/// `events` and `ops`.
+fn sources(graph: &SyncGraph, events: &[TaskId], ops: &[OpRef]) -> Vec<NodeId> {
+    let ends = events.iter().map(|&e| graph.end(e));
+    ends.chain(ops.iter().map(|&a| graph.bracket_after(a)))
+        .collect()
+}
+
+/// Asks the demand model every sampled event pair and operation pair,
+/// then compares with the naive reference: acceptance first (demand's
+/// build plus its `check()` after the last query against the naive
+/// derivation's), then, when both accept, every answer.
+fn assert_demand_matches_naive(trace: &Trace, config: CausalityConfig) {
+    let mut graph = base_graph(trace, &config);
+    let naive = derive_naive(&mut graph, trace, &config);
+    let Ok(demand) = HbModel::build(trace, config) else {
+        assert!(naive.is_err(), "demand rejected at build, naive accepted");
+        return;
+    };
+    let events = sample(&events_of(trace), 140);
+    let ops = ops_of(trace, 120);
+    let event_answers: Vec<bool> = events
+        .iter()
+        .flat_map(|&a| events.iter().map(move |&b| (a, b)))
+        .map(|(a, b)| demand.event_before(a, b))
+        .collect();
+    let op_answers: Vec<bool> = ops
+        .iter()
+        .flat_map(|&a| ops.iter().map(move |&b| (a, b)))
+        .map(|(a, b)| demand.happens_before(a, b))
+        .collect();
+    assert_eq!(
+        demand.check().is_ok(),
+        naive.is_ok(),
+        "acceptance diverged: demand {:?}, naive {:?}",
+        demand.check(),
+        naive
+    );
+    if naive.is_err() {
+        return;
+    }
+    let reference = Closure::new(&graph, sources(&graph, &events, &ops));
+    let event_pairs = events
+        .iter()
+        .flat_map(|&a| events.iter().map(move |&b| (a, b)));
+    for ((a, b), answer) in event_pairs.zip(event_answers) {
+        assert_eq!(
+            answer,
+            reference.event_before(a, b),
+            "event_before({a}, {b}) diverged"
+        );
+    }
+    let op_pairs = ops.iter().flat_map(|&a| ops.iter().map(move |&b| (a, b)));
+    for ((a, b), answer) in op_pairs.zip(op_answers) {
+        assert_eq!(
+            answer,
+            reference.happens_before(a, b),
+            "happens_before({a:?}, {b:?}) diverged"
+        );
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Batch queries on arbitrary tape traces, both rule configs.
     #[test]
-    fn backends_agree_on_random_tapes(tape in proptest::collection::vec(any::<u8>(), 0..300)) {
+    fn demand_matches_naive_on_random_tapes(tape in proptest::collection::vec(any::<u8>(), 0..300)) {
         let trace = trace_from_tape(&tape);
-        assert_backends_agree(&trace, CausalityConfig::cafa());
-        assert_backends_agree(&trace, CausalityConfig::conventional());
+        assert_demand_matches_naive(&trace, CausalityConfig::cafa());
+        assert_demand_matches_naive(&trace, CausalityConfig::conventional());
     }
 
     /// A demand-query incremental session against a naive-reference
     /// session fed the identical seal sequence. The demand side never
     /// calls a derive — the query engine does all rule work inside the
     /// cones each answer needs; the reference side materializes the
-    /// full fixpoint after every seal and answers by depth-first
-    /// search. Every event pair must agree after every single seal,
-    /// including pairs involving still-unsealed tasks (whose ends are
-    /// disconnected, so no rule premise can fire around them yet).
+    /// full fixpoint after every seal. Every event pair must agree
+    /// after every single seal, including pairs involving still-unsealed
+    /// tasks (whose ends are disconnected, so no rule premise can fire
+    /// around them yet).
     #[test]
     fn incremental_demand_agrees_seal_by_seal(
         tape in proptest::collection::vec(any::<u8>(), 0..300),
@@ -120,16 +205,14 @@ proptest! {
             demand.seal(&trace, info.id);
             reference.seal(&trace, info.id);
             if reference.derive_now_reference(&trace).is_err() {
-                return Ok(()); // cyclic tape; demand answers are unspecified
+                return Ok(()); // cyclic tape; live answers are provisional
             }
-            let g = reference.graph();
-            let mut scratch = BitSet::new(g.node_count());
+            let closure = Closure::new(reference.graph(), sources(reference.graph(), &events, &[]));
             for &a in &events {
                 for &b in &events {
-                    let expect = a != b && g.reaches(g.end(a), g.begin(b), &mut scratch);
                     prop_assert_eq!(
                         demand.demand_event_before(a, b),
-                        expect,
+                        closure.event_before(a, b),
                         "event_before({}, {}) diverged after sealing {}",
                         a, b, info.id
                     );
@@ -137,18 +220,13 @@ proptest! {
             }
         }
         // Operation-level spot check once the whole trace is sealed.
-        let g = reference.graph();
-        let mut scratch = BitSet::new(g.node_count());
-        for &a in &ops_of(&trace, 80) {
-            for &b in &ops_of(&trace, 80) {
-                let expect = if a.task == b.task {
-                    a.index < b.index
-                } else {
-                    g.reaches(g.bracket_after(a), g.bracket_before(b), &mut scratch)
-                };
+        let ops = ops_of(&trace, 80);
+        let closure = Closure::new(reference.graph(), sources(reference.graph(), &[], &ops));
+        for &a in &ops {
+            for &b in &ops {
                 prop_assert_eq!(
                     demand.demand_happens_before(a, b),
-                    expect,
+                    closure.happens_before(a, b),
                     "happens_before({:?}, {:?}) diverged", a, b
                 );
             }
@@ -163,7 +241,7 @@ proptest! {
 /// fodder and bad wall-clock fodder; the larger apps add minutes of
 /// settlement for no extra rule coverage.)
 #[test]
-fn backends_agree_on_perturbed_catalog_traces() {
+fn demand_matches_naive_on_perturbed_catalog_traces() {
     let apps = cafa_apps::all_apps();
     let mut order: Vec<usize> = (0..apps.len()).collect();
     order.sort_by_key(|&i| apps[i].expected.events);
@@ -175,7 +253,7 @@ fn backends_agree_on_perturbed_catalog_traces() {
         config.instrument = cafa_sim::InstrumentConfig::paper_packages();
         let mut outcome = cafa_sim::run(&app.program, &config).expect("simulation runs");
         let trace = outcome.trace.take().expect("instrumentation is on");
-        assert_backends_agree(&trace, CausalityConfig::cafa());
-        assert_backends_agree(&trace, CausalityConfig::conventional());
+        assert_demand_matches_naive(&trace, CausalityConfig::cafa());
+        assert_demand_matches_naive(&trace, CausalityConfig::conventional());
     }
 }

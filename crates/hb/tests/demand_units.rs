@@ -1,9 +1,10 @@
 //! Deterministic edge-case units for the demand-driven query engine —
 //! the cases the differential proptest suites cover only by accident:
-//! self-queries, queries probing still-unsealed tasks, and memo
+//! self-queries, queries probing still-unsealed tasks, memo
 //! invalidation when an [`IncrementalHb`] extends the graph under a
-//! live query index. No proptest here: every trace is built by hand so
-//! a failure names its scenario.
+//! live query index, and the rare derived cycle a forward edge closes.
+//! No proptest here: every trace is built by hand, or is one fixed
+//! tape, so a failure names its scenario.
 
 use cafa_hb::{CausalityConfig, HbModel, IncrementalHb};
 use cafa_trace::{DerefKind, ObjId, Pc, TaskId, Trace, TraceBuilder, VarId};
@@ -31,8 +32,7 @@ fn chain_trace() -> (Trace, TaskId, TaskId, TaskId, TaskId) {
 #[test]
 fn self_query_is_never_ordered() {
     let (trace, _, first, second, nested) = chain_trace();
-    let model =
-        HbModel::build_demand(&trace, CausalityConfig::cafa()).expect("chain trace is acyclic");
+    let model = HbModel::build(&trace, CausalityConfig::cafa()).expect("chain trace is acyclic");
     for e in [first, second, nested] {
         assert!(
             !model.event_before(e, e),
@@ -127,4 +127,38 @@ fn memos_invalidate_across_incremental_extension() {
     assert!(inc.demand_event_before(first, nested));
     let settled = inc.demand_stats().expect("queries ran");
     assert_eq!(settled.premises, after.premises);
+}
+
+/// A random tape (found by search) on which, once a backward edge has
+/// been materialized, a *forward* edge would close a derived cycle: the
+/// engine must check it exactly and refuse it, rather than keep
+/// trusting forward edges.
+#[test]
+fn forward_edge_closing_a_cycle_after_a_backward_one_is_caught() {
+    let tape: [u8; 167] = [
+        240, 15, 123, 137, 95, 3, 116, 109, 37, 97, 88, 231, 127, 193, 64, 131, 57, 207, 246, 244,
+        250, 111, 199, 54, 2, 54, 22, 104, 218, 148, 190, 227, 217, 95, 146, 139, 91, 158, 102,
+        207, 87, 175, 47, 110, 25, 102, 93, 144, 178, 184, 206, 253, 87, 170, 114, 148, 100, 135,
+        186, 17, 136, 196, 127, 121, 169, 60, 225, 241, 254, 212, 48, 104, 39, 63, 174, 100, 41,
+        125, 183, 104, 97, 255, 226, 218, 175, 70, 231, 58, 3, 117, 129, 30, 111, 234, 108, 156,
+        112, 168, 41, 160, 218, 30, 232, 169, 199, 159, 8, 247, 204, 180, 81, 57, 84, 25, 53, 220,
+        16, 204, 5, 51, 47, 139, 91, 177, 45, 165, 224, 20, 56, 161, 204, 238, 17, 150, 101, 181,
+        87, 52, 30, 68, 4, 197, 182, 8, 60, 19, 83, 177, 88, 73, 243, 10, 147, 27, 118, 109, 52,
+        67, 239, 171, 119, 11, 168, 11, 69, 157, 2,
+    ];
+    let trace = cafa_trace::arbitrary::trace_from_tape(&tape);
+    let model = HbModel::build(&trace, CausalityConfig::cafa()).expect("base edges are acyclic");
+    model.event_before(TaskId::new(1), TaskId::new(2));
+    assert!(model.check().is_err(), "the query derives a cycle");
+    // Every edge that would close a cycle stays out of the relation, so
+    // no two sync points reach each other.
+    let nodes = model.graph().node_count() as u32;
+    for a in 0..nodes {
+        for b in a + 1..nodes {
+            assert!(
+                !(model.reaches(a, b) && model.reaches(b, a)),
+                "nodes {a} and {b} reach each other"
+            );
+        }
+    }
 }

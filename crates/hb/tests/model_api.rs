@@ -3,7 +3,7 @@
 //! and the event table.
 
 use cafa_hb::{
-    base_graph, derive, CausalityConfig, EdgeKind, EventTable, HbModel, LockSets, OpOrder,
+    base_graph, derive_naive, CausalityConfig, EdgeKind, EventTable, HbModel, LockSets, OpOrder,
 };
 use cafa_trace::{MonitorId, ObjId, OpRef, Pc, TraceBuilder, VarId};
 
@@ -58,7 +58,7 @@ fn derivation_stats_count_rule_firings() {
 
     let config = CausalityConfig::cafa();
     let mut g = base_graph(&trace, &config);
-    let stats = derive(&mut g, &trace, &config).unwrap();
+    let stats = derive_naive(&mut g, &trace, &config).unwrap();
     assert!(stats.rounds >= 1);
     // Adjacent pairs materialize; the transitive (e1, e3) pair is
     // implied and skipped, so exactly 2 rule-1 edges.

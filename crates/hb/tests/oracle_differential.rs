@@ -5,8 +5,9 @@
 //!
 //! * **random DAGs** — synthetic task chains with proptest-chosen
 //!   cross edges, including inputs the topological sort must reject;
-//! * **arbitrary tape traces** — full `HbModel` builds over
-//!   [`trace_from_tape`] inputs, exercising every derived edge kind;
+//! * **arbitrary tape traces** — base graphs plus every edge the naive
+//!   derivation (`derive_naive`) materializes over [`trace_from_tape`]
+//!   inputs, exercising every derived edge kind;
 //! * **perturbed catalog traces** — the bundled app workloads re-run
 //!   under different simulation seeds than Table 1 uses.
 //!
@@ -18,9 +19,17 @@
 use proptest::prelude::*;
 
 use cafa_hb::bitset::BitSet;
-use cafa_hb::{CausalityConfig, EdgeKind, HbModel, ReachOracle, SyncGraph};
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, EdgeKind, ReachOracle, SyncGraph};
 use cafa_trace::arbitrary::trace_from_tape;
-use cafa_trace::TraceBuilder;
+use cafa_trace::{Trace, TraceBuilder};
+
+/// The base graph of `trace` under `config` plus every derived edge,
+/// or `None` when the derived relation is cyclic.
+fn derived_graph(trace: &Trace, config: CausalityConfig) -> Option<SyncGraph> {
+    let mut graph = base_graph(trace, &config);
+    derive_naive(&mut graph, trace, &config).ok()?;
+    Some(graph)
+}
 
 /// Asserts oracle == DFS over every ordered pair of graph nodes.
 fn assert_all_pairs(graph: &SyncGraph, oracle: &ReachOracle) {
@@ -113,19 +122,19 @@ proptest! {
         }
     }
 
-    /// On arbitrary tape traces the model's oracle (over the fully
-    /// derived graph, all rule edge kinds) matches the DFS everywhere.
+    /// On arbitrary tape traces the oracle over the fully derived
+    /// graph (all rule edge kinds) matches the DFS everywhere.
     #[test]
     fn oracle_matches_dfs_on_arbitrary_traces(
         tape in proptest::collection::vec(any::<u8>(), 0..400),
         threads in 1usize..5,
     ) {
         let trace = trace_from_tape(&tape);
-        let Ok(model) = HbModel::build(&trace, CausalityConfig::cafa()) else {
+        let Some(graph) = derived_graph(&trace, CausalityConfig::cafa()) else {
             return Ok(()); // inconsistent trace, correctly rejected
         };
-        let oracle = model.ensure_oracle(threads);
-        assert_all_pairs(model.graph(), oracle);
+        let oracle = ReachOracle::build(&graph, threads).expect("derived graph is acyclic");
+        assert_all_pairs(&graph, &oracle);
     }
 }
 
@@ -152,13 +161,13 @@ fn oracle_matches_dfs_on_perturbed_catalog_traces() {
         let mut outcome = cafa_sim::run(&app.program, &config).expect("simulation runs");
         let trace = outcome.trace.take().expect("instrumentation is on");
         for causality in [CausalityConfig::cafa(), CausalityConfig::conventional()] {
-            let model = HbModel::build(&trace, causality).expect("real traces are consistent");
+            let graph = derived_graph(&trace, causality).expect("real traces are consistent");
             let threads = if round % 2 == 0 { 1 } else { 8 };
-            let oracle = model.ensure_oracle(threads);
-            if model.graph().node_count() <= 64 {
-                assert_all_pairs(model.graph(), oracle);
+            let oracle = ReachOracle::build(&graph, threads).expect("derived graph is acyclic");
+            if graph.node_count() <= 64 {
+                assert_all_pairs(&graph, &oracle);
             } else {
-                assert_sampled_pairs(model.graph(), oracle, 10_000, 0x5eed + round as u64);
+                assert_sampled_pairs(&graph, &oracle, 10_000, 0x5eed + round as u64);
             }
         }
     }

@@ -3,8 +3,9 @@
 //! Arbitrary tape traces are not always consistent with a real
 //! execution (the tape may process events in an order the queue rules
 //! contradict); the model must then *detect* the inconsistency as a
-//! cycle rather than produce garbage. When it accepts, the relation
-//! must be a strict partial order and all query paths must agree.
+//! cycle — at build, or through `check()` once the queries have derived
+//! it — rather than produce garbage. When it accepts, the relation must
+//! be a strict partial order and all query paths must agree.
 
 use proptest::prelude::*;
 
@@ -15,54 +16,32 @@ use cafa_trace::OpRef;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Build either succeeds or reports a cycle; on success the event
-    /// order is a strict partial order.
+    /// The tape is either rejected — by the build, or by `check()`
+    /// after the queries — or its event order is a strict partial
+    /// order.
     #[test]
     fn model_accepts_or_rejects_cleanly(tape in proptest::collection::vec(any::<u8>(), 0..300)) {
         let trace = trace_from_tape(&tape);
         let Ok(model) = HbModel::build(&trace, CausalityConfig::cafa()) else {
             return Ok(()); // inconsistent trace, correctly rejected
         };
-        let events = model.events().to_vec();
-        for &e1 in events.iter().take(20) {
-            prop_assert!(!model.event_before(e1, e1));
-            for &e2 in events.iter().take(20) {
-                prop_assert!(!(model.event_before(e1, e2) && model.event_before(e2, e1)));
-                if e1 != e2 && model.event_before(e1, e2) {
-                    for &e3 in events.iter().take(20) {
-                        if e2 != e3 && model.event_before(e2, e3) {
-                            prop_assert!(model.event_before(e1, e3), "transitivity");
-                        }
+        let events: Vec<_> = model.events().iter().copied().take(20).collect();
+        let before: Vec<Vec<bool>> = events
+            .iter()
+            .map(|&e1| events.iter().map(|&e2| model.event_before(e1, e2)).collect())
+            .collect();
+        if model.check().is_err() {
+            return Ok(()); // the queries derived a cycle: rejected
+        }
+        for (i, row) in before.iter().enumerate() {
+            prop_assert!(!row[i]);
+            for (j, &ij) in row.iter().enumerate() {
+                prop_assert!(!(ij && before[j][i]), "antisymmetry");
+                if ij {
+                    for (&jk, &ik) in before[j].iter().zip(row) {
+                        prop_assert!(!jk || ik, "transitivity");
                     }
                 }
-            }
-        }
-    }
-
-    /// Point queries and batched queries agree everywhere.
-    #[test]
-    fn batch_equals_pointwise(tape in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let trace = trace_from_tape(&tape);
-        let Ok(model) = HbModel::build(&trace, CausalityConfig::cafa()) else {
-            return Ok(());
-        };
-        let sources: Vec<OpRef> = trace
-            .tasks()
-            .filter(|t| trace.body_len(t.id) > 0)
-            .take(24)
-            .map(|t| OpRef::new(t.id, trace.body_len(t.id) / 2))
-            .collect();
-        if sources.is_empty() {
-            return Ok(());
-        }
-        let batch = model.batch(&sources);
-        for (i, &a) in sources.iter().enumerate() {
-            for &b in &sources {
-                prop_assert_eq!(
-                    batch.before(i, b),
-                    model.happens_before(a, b),
-                    "batch vs pointwise for {} -> {}", a, b
-                );
             }
         }
     }
@@ -155,13 +134,17 @@ proptest! {
         ) else {
             return Ok(());
         };
-        let events = full.events().to_vec();
-        for &e1 in events.iter().take(24) {
-            for &e2 in events.iter().take(24) {
-                if e1 != e2 && reduced.event_before(e1, e2) {
-                    prop_assert!(full.event_before(e1, e2));
+        let events: Vec<_> = full.events().iter().copied().take(24).collect();
+        let mut missing = Vec::new();
+        for &e1 in &events {
+            for &e2 in &events {
+                if e1 != e2 && reduced.event_before(e1, e2) && !full.event_before(e1, e2) {
+                    missing.push((e1, e2));
                 }
             }
+        }
+        if full.check().is_ok() && reduced.check().is_ok() {
+            prop_assert!(missing.is_empty(), "orders lost with the queue rules: {:?}", missing);
         }
     }
 }

@@ -57,8 +57,12 @@ fn check_queues(trace: &Trace) -> Result<(), TraceError> {
     }
     for t in trace.events() {
         if let TaskKind::Event { queue, seq, .. } = t.kind {
-            let q = trace.queue(queue);
-            if q.events.get(seq as usize) != Some(&t.id) {
+            // A queue that does not exist processed nothing.
+            let entry = trace
+                .queues
+                .get(queue.index())
+                .and_then(|q| q.events.get(seq as usize));
+            if entry != Some(&t.id) {
                 return Err(TraceError::UnprocessedEvent { event: t.id });
             }
         }
@@ -104,9 +108,6 @@ fn check_records(trace: &Trace) -> Result<(), TraceError> {
                     TaskKind::Thread { .. } => {
                         return Err(dangling(site, "a thread as a send target"))
                     }
-                }
-                if queue.index() >= trace.queue_count() {
-                    return Err(dangling(site, "an unknown queue"));
                 }
             }
             Record::Register { listener } | Record::Perform { listener }
@@ -311,6 +312,16 @@ mod tests {
     fn event_missing_from_its_queue_is_unprocessed() {
         let got = validate_with(|t| t.queues[0].events.truncate(2));
         assert_eq!(got, Err(TraceError::UnprocessedEvent { event: EXT }));
+    }
+
+    #[test]
+    fn event_posted_to_an_unknown_queue_is_unprocessed() {
+        let mut b = TraceBuilder::new("app");
+        let p = b.add_process();
+        b.add_queue(p);
+        let t = b.add_thread(p, "main");
+        let ev = b.post(t, QueueId::new(9), "ev", 0);
+        assert_eq!(b.finish(), Err(TraceError::UnprocessedEvent { event: ev }));
     }
 
     #[test]
