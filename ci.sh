@@ -118,6 +118,13 @@ for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camer
         echo "FAIL: $app --detector hb report differs from pinned golden report" >&2
         exit 1
     fi
+    # --follow tails the file as it grows, then runs the batch pipeline
+    # on the decoded trace: it must reproduce the golden report too.
+    ./target/release/cafa analyze "$trace" --follow --format json > "$tmpdir/$app.follow.json"
+    if ! cmp -s "$tmpdir/$app.follow.json" "tests/golden/reports/$app.json"; then
+        echo "FAIL: $app --follow report differs from pinned golden report" >&2
+        exit 1
+    fi
     for threads in 1 2 8; do
         ./target/release/cafa analyze "$trace" --format json --threads "$threads" \
             > "$tmpdir/$app.t$threads.json"

@@ -22,7 +22,7 @@ use cafa_core::{Analyzer, DetectorConfig};
 use cafa_engine::AnalysisSession;
 use cafa_hb::CausalityConfig;
 use cafa_sim::{run, InstrumentConfig, SimConfig};
-use cafa_stream::{IncrementalSession, ProvisionalRace, StreamOptions};
+use cafa_stream::{IncrementalSession, StreamOptions};
 use cafa_trace::Trace;
 
 const USAGE: &str = "\
@@ -63,7 +63,7 @@ USAGE:
     cafa analyze <trace> [--detector hb|predictive|both]
                          [--model cafa|conventional|no-queue-rules]
                          [--no-if-guard] [--no-intra-alloc] [--no-lockset]
-                         [--json | --format text|json] [--verbose] [--timings]
+                         [--json | --format text|json] [--timings]
                          [--threads N] [--partition auto|off|force]
                          [--follow [--poll-ms N]]
         Run the race detector over a trace file (text or binary,
@@ -78,10 +78,9 @@ USAGE:
         variant (catalog and gen:<seed>:<index> traces) and printed
         as a replay-confirmed witness or a counted false positive.
         The default backend's output is byte-identical to earlier
-        releases. --json (or --format
-        json) emits a stable machine-readable format; --verbose is
-        accepted and adds nothing; --timings adds a per-pass
-        wall-time breakdown (extract, hb-build, candidates, filters,
+        releases. --json (or --format json) emits a stable
+        machine-readable format; --timings adds a per-pass wall-time
+        breakdown (extract, hb-build, candidates, filters,
         baseline-hb, classify, predict-build/predict-candidates and
         adjudicate under a predictive detector, and — when
         partitioned — partition/merge) and model-cache counters.
@@ -116,22 +115,20 @@ USAGE:
         --format counts prints the one-line-per-app summary the CI
         golden file pins.
 
-    cafa serve [--model M] [--chunk N] [--live]
+    cafa serve [--model M] [--chunk N]
                [--threads N] [--listen ADDR] [--admin ADDR]
                [--state-dir DIR] [--memory-budget SIZE]
         Without --listen: stream one trace from stdin, decoding it as
-        it arrives, and print the JSON report at end of stream —
-        byte-identical to `cafa analyze --json` of the same trace,
-        for any chunking. --chunk caps bytes ingested per read;
-        --live (stdin only) also emits one provisional JSON line per
-        use-free candidate as soon as both endpoint tasks close
-        (concurrency evidence only — a later suffix can still order
-        or filter the pair; the final report is the authority).
+        it arrives, and print the JSON report at EOF — byte-identical
+        to `cafa analyze --json` of the same trace, for any chunking.
+        Bytes after the trace's end marker fail the run, as in batch.
+        --chunk caps bytes ingested per read.
 
         With --listen host:port: run the multi-tenant fleet ingest
         server. Connections keep being accepted until the process is
         killed; each carries one session (or, in framed mode, many —
-        see docs/SERVE.md) and receives its own report,
+        see docs/SERVE.md) and receives its own report as soon as the
+        trace is complete, while the connection stays open,
         byte-identical to batch analysis regardless of --threads
         (worker count) or how sessions interleave. --state-dir DIR
         journals every session's bytes so a killed server resumes
@@ -553,9 +550,6 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         Some("json") => json = true,
         Some(other) => return Err(format!("bad format `{other}` (text|json)")),
     }
-    // Still accepted: the derivation line it used to add can only read
-    // zero now that the demand engine answers every query.
-    opt_flag(&mut args, "--verbose");
     let timings = opt_flag(&mut args, "--timings");
     let threads = parse_threads(&mut args)?;
     let partition = opt_value(&mut args, "--partition")?
@@ -581,6 +575,9 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         .map(|s| s.parse::<u64>().map_err(|_| format!("bad poll-ms `{s}`")))
         .transpose()?
         .unwrap_or(50);
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unexpected argument `{flag}`; see `cafa help`"));
+    }
     let [path] = args.as_slice() else {
         return Err("usage: cafa analyze <trace> [options]".to_owned());
     };
@@ -920,18 +917,6 @@ fn cmd_validate(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One provisional candidate as a JSON line (ids only — task names
-/// would need the finished trace, and provisional output must not
-/// perturb the final byte-stable report).
-fn provisional_line(p: &ProvisionalRace) -> String {
-    format!(
-        "{{\"provisional\": true, \"var\": \"{}\", \
-         \"use\": {{\"task\": \"{}\", \"index\": {}, \"pc\": \"{}\"}}, \
-         \"free\": {{\"task\": \"{}\", \"index\": {}, \"pc\": \"{}\"}}}}",
-        p.var, p.use_at.task, p.use_at.index, p.use_pc, p.free_at.task, p.free_at.index, p.free_pc
-    )
-}
-
 /// Parses a byte size with an optional K/M/G suffix (binary units).
 fn parse_size(s: &str) -> Result<usize, String> {
     let (digits, scale) = match s.as_bytes().last() {
@@ -956,7 +941,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(64 << 10)
         .max(1);
-    let live = opt_flag(&mut args, "--live");
     let threads = parse_threads(&mut args)?;
     let listen = opt_value(&mut args, "--listen")?;
     let admin = opt_value(&mut args, "--admin")?;
@@ -971,10 +955,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         ));
     }
 
-    let mut opts = StreamOptions {
-        live,
-        ..StreamOptions::default()
-    };
+    let mut opts = StreamOptions::default();
     opts.detector.causality = parse_model(&model)?;
     opts.detector.threads = threads;
 
@@ -982,13 +963,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         // TCP mode: the multi-tenant ingest server. Each connection
         // carries its own session; reports are per-session and
         // byte-identical to `cafa analyze --format json`.
-        if live {
-            return Err(
-                "--live is stdin-only: per-session provisional lines would interleave \
-                 on a multi-tenant server's stdout"
-                    .to_owned(),
-            );
-        }
         let mut config = cafa_fleetserve::ServerConfig {
             opts,
             threads,
@@ -1019,22 +993,21 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let mut reader = std::io::stdin().lock();
     let mut session = IncrementalSession::new(opts);
     let mut buf = vec![0u8; chunk];
-    let mut out = std::io::stdout().lock();
-    while !session.is_complete() {
+    // Read to EOF, past the end marker, so a trailing byte fails the
+    // run whichever read it arrives in; truncation surfaces in finish().
+    loop {
         let n = reader.read(&mut buf).map_err(|e| format!("read: {e}"))?;
         if n == 0 {
-            break; // EOF; truncation surfaces in finish()
+            break;
         }
-        for p in session
+        session
             .push(&buf[..n])
-            .map_err(|e| format!("analyzing stream: {e}"))?
-        {
-            writeln!(out, "{}", provisional_line(&p)).map_err(|e| e.to_string())?;
-        }
+            .map_err(|e| format!("analyzing stream: {e}"))?;
     }
     let outcome = session
         .finish()
         .map_err(|e| format!("analyzing stream: {e}"))?;
+    let mut out = std::io::stdout().lock();
     write!(
         out,
         "{}",

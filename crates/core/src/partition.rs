@@ -108,8 +108,8 @@ pub const MAX_BATCHES: usize = 64;
 ///
 /// # Errors
 ///
-/// Propagates the first per-batch [`HbError`] in batch order. Task ids
-/// inside the error refer to the failing *sub-trace*'s coordinates.
+/// Propagates the first per-batch [`HbError`] in batch order, with its
+/// task ids mapped back to the source trace.
 pub(crate) fn try_partitioned(
     analyzer: &Analyzer,
     session: &AnalysisSession<'_>,
@@ -156,6 +156,7 @@ pub(crate) fn try_partitioned(
         Analyzer::with_config(inner_config)
             .analyze_with(&inner)
             .map(|report| unproject_report(report, &projection))
+            .map_err(|e| e.map_tasks(|t| projection.tasks[t.index()]))
     });
 
     let mut reports = Vec::with_capacity(results.len());

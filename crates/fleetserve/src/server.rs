@@ -818,9 +818,7 @@ fn ingest(
             registry.on_durable(session_id, shard, journal.durable_offset());
         }
         let sess = slot.session.as_mut().expect("restored above");
-        // Provisional candidates are a stdin-mode affordance; the
-        // server's contract is the final (batch-identical) report.
-        let _ = sess.push(bytes).map_err(|source| ServeError::Session {
+        sess.push(bytes).map_err(|source| ServeError::Session {
             session: session_id.to_owned(),
             source,
         })?;

@@ -88,23 +88,6 @@ impl BitSet {
         self.len = other.len;
     }
 
-    /// Grows the capacity to `new_len`, keeping existing members. Used
-    /// by the incremental fixpoint, whose send-pair memos gain columns
-    /// as new `send` records stream in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_len` is smaller than the current capacity.
-    pub fn grow(&mut self, new_len: usize) {
-        assert!(
-            new_len >= self.len,
-            "cannot shrink bitset from {} to {new_len}",
-            self.len
-        );
-        self.words.resize(new_len.div_ceil(64), 0);
-        self.len = new_len;
-    }
-
     /// True when no bits are set.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -315,27 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_keeps_members_and_extends_range() {
-        let mut s = BitSet::new(10);
-        s.insert(3);
-        s.insert(9);
-        s.grow(130);
-        assert_eq!(s.capacity(), 130);
-        assert!(s.contains(3) && s.contains(9));
-        assert!(s.insert(129));
-        assert_eq!(s.count(), 3);
-        // Growing to the same size is a no-op.
-        s.grow(130);
-        assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_rejects_shrinking() {
-        BitSet::new(10).grow(5);
-    }
-
-    #[test]
     fn word_boundary_bits() {
         // Bits 63/64/65 straddle the first u64 word boundary; each must
         // land in its own word slot and round-trip through iteration.
@@ -361,7 +323,6 @@ mod tests {
         let other = BitSet::new(0);
         assert!(!e.union_with(&other));
         e.for_each_in_diff(&other, &other, |_| unreachable!("no members"));
-        e.grow(0);
         assert!(e.is_empty());
     }
 

@@ -36,9 +36,12 @@
 //!   nothing to the closure, answers are unaffected.
 //! * A materialized edge that **closes a cycle** is recorded as an
 //!   [`HbError::CyclicHappensBefore`] instead of being added (see
-//!   [`DemandCore::guard_cycles`]). Only edges some query forces are
-//!   checked, so a cycle no query reaches goes undetected; it changes
-//!   no answer.
+//!   [`CycleGuard::arm`]). Only edges some query forces are checked, so
+//!   a cycle no query reaches goes undetected; it changes no answer.
+//!
+//! The core works on the complete base graph of a finished trace: every
+//! send is registered at construction, before the first query, and the
+//! graph never grows under it.
 
 use std::collections::{HashMap, HashSet};
 
@@ -67,9 +70,6 @@ pub struct DemandStats {
 /// closing a cycle.
 #[derive(Debug)]
 enum CycleGuard {
-    /// Not checked: the live incremental path, whose answers are
-    /// provisional (its final report comes from a checked model).
-    Off,
     /// The base edges plus every looper's processing order form an
     /// acyclic graph, and every edge so far ran forward in processing
     /// order, so each lies in that graph's closure and none can close a
@@ -81,27 +81,111 @@ enum CycleGuard {
     Exact,
 }
 
+impl CycleGuard {
+    /// Arms the check for the complete `trace` that `graph` holds the
+    /// base edges of. One Kahn pass over the base edges plus each
+    /// looper's processing order (`QueueInfo::events`) decides how:
+    ///
+    /// * acyclic — every derived edge joins two events of one looper,
+    ///   and one that runs forward in processing order lies in that
+    ///   graph's closure, so edges are trusted until the first backward
+    ///   one and checked exactly from then on;
+    /// * cyclic, with the base edges alone acyclic — the recorded order
+    ///   contradicts the base edges, so every edge is checked exactly.
+    ///
+    /// On recorded traces no derived edge runs backward, so the check
+    /// costs one pass at build time and nothing per edge.
+    ///
+    /// # Errors
+    ///
+    /// [`HbError::CyclicHappensBefore`] when the base edges alone are
+    /// cyclic.
+    fn arm(
+        graph: &SyncGraph,
+        trace: &Trace,
+        table: &EventTable,
+        end_event_of: &[u32],
+    ) -> Result<Self, HbError> {
+        let n = table.len();
+        let (mut pos, mut next) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+        // Validated traces list every event once, on its own queue; any
+        // other shape just falls back to exact checks.
+        let mut listed = true;
+        for (qid, q) in trace.queues() {
+            let mut prev = u32::MAX;
+            for (k, &e) in q.events.iter().enumerate() {
+                match table.dense(e) {
+                    Some(j) if table.queue_of[j as usize] == qid && pos[j as usize] == u32::MAX => {
+                        pos[j as usize] = k as u32;
+                        if prev != u32::MAX {
+                            next[prev as usize] = j;
+                        }
+                        prev = j;
+                    }
+                    _ => listed = false,
+                }
+            }
+        }
+        listed &= pos.iter().all(|&p| p != u32::MAX);
+        if listed && acyclic_with(graph, table, end_event_of, &next) {
+            return Ok(CycleGuard::Forward(pos));
+        }
+        graph
+            .topo_order()
+            .map_err(|nodes| HbError::cyclic(graph, &nodes))?;
+        Ok(CycleGuard::Exact)
+    }
+}
+
+/// Kahn's pass over the base edges plus `end(e_j) → begin(e_next[j])`
+/// for each dense event `j` with a successor: is the union acyclic?
+/// `graph` must hold only compacted base edges, as a fresh
+/// [`base_graph`](crate::base_graph) does.
+fn acyclic_with(graph: &SyncGraph, table: &EventTable, end_event_of: &[u32], next: &[u32]) -> bool {
+    let begin_of = |k: u32| graph.begin(table.events[k as usize]);
+    let mut indegree = graph.in_degrees();
+    for &k in next.iter().filter(|&&k| k != u32::MAX) {
+        indegree[begin_of(k) as usize] += 1;
+    }
+    let mut stack: Vec<NodeId> = (0..indegree.len() as NodeId)
+        .filter(|&v| indegree[v as usize] == 0)
+        .collect();
+    let mut swept = 0;
+    while let Some(v) = stack.pop() {
+        swept += 1;
+        let i = end_event_of[v as usize];
+        let chained =
+            (i != u32::MAX && next[i as usize] != u32::MAX).then(|| begin_of(next[i as usize]));
+        for s in graph.csr_succs(v).iter().map(|&(s, _)| s).chain(chained) {
+            indegree[s as usize] -= 1;
+            if indegree[s as usize] == 0 {
+                stack.push(s);
+            }
+        }
+    }
+    swept == indegree.len()
+}
+
 /// The demand-driven query engine over one sync graph.
 ///
-/// The core does not own the graph — every method borrows it — so the
-/// same core can follow a growing graph (the incremental path calls
-/// [`DemandCore::sync_graph`] before querying). Derived edges live here,
-/// never in the graph itself.
+/// The core does not own the graph, which the model keeps beside it;
+/// every method borrows it. Derived edges live here, never in the graph
+/// itself.
 #[derive(Debug)]
 pub struct DemandCore {
     config: CausalityConfig,
     table: EventTable,
-    /// Send sites registered so far, in ingestion order.
+    /// Every send site of the trace, in trace order.
     sends: Vec<SendSite>,
-    /// Per dense event: the send that posted it, if registered.
+    /// Per dense event: the send that posted it, if any.
     send_of_event: Vec<Option<u32>>,
     /// Per queue: indices of `sendAtFront` sites (rules 2/4 candidates).
     front_sends: Vec<Vec<u32>>,
     /// Per queue: dense events it processes (invalidation fan-out when
-    /// a new front send changes the rules-2/4 candidate set).
+    /// the cone of a front send's site grows).
     events_of_queue: Vec<Vec<u32>>,
 
-    // ---- per-node marks (grown with the graph) ----
+    // ---- per-node marks ----
     /// Node → dense event whose `begin` it is.
     begin_event_of: Vec<u32>,
     /// Node → dense event whose `end` it is.
@@ -119,12 +203,8 @@ pub struct DemandCore {
     // ---- settlement state ----
     /// Per dense event: premises evaluated and still current. Cleared
     /// by the invalidation sweep for exactly the anchors a new edge
-    /// batch (or graph growth) can affect.
+    /// batch can affect.
     settled: Vec<bool>,
-    /// How many entries of `settled` are currently true. Together with
-    /// the memo maps this tells the growth path whether there is any
-    /// state an invalidation sweep could protect at all.
-    settled_count: usize,
     /// Roots whose settlement episode completed and whose cone region
     /// has not been invalidated since: a repeat query skips settlement.
     settled_roots: HashSet<NodeId>,
@@ -153,10 +233,6 @@ pub struct DemandCore {
     sup_stack: Vec<NodeId>,
     fwd_stack: Vec<NodeId>,
 
-    // ---- growth cursors ----
-    nodes_seen: usize,
-    edges_seen: usize,
-
     /// How new edges are checked for cycles, and the first cycle found.
     guard: CycleGuard,
     cycle: Option<HbError>,
@@ -165,58 +241,78 @@ pub struct DemandCore {
 }
 
 impl DemandCore {
-    /// Creates a core for `graph` (its current node set) and the fixed
-    /// event table of the trace. Send sites are registered separately
-    /// via [`register_sends`](DemandCore::register_sends) so the
-    /// incremental path can stream them in.
-    pub fn new(graph: &SyncGraph, table: EventTable, config: CausalityConfig) -> Self {
-        let ev_count = table.len();
-        let queue_count = table
-            .queue_of
-            .iter()
-            .map(|q| q.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut events_of_queue = vec![Vec::new(); queue_count];
-        for (j, q) in table.queue_of.iter().enumerate() {
+    /// Creates the core for the complete base `graph` of `trace`, its
+    /// event `table` and every send site of the trace, with the cycle
+    /// check armed (see [`CycleGuard::arm`]).
+    ///
+    /// # Errors
+    ///
+    /// [`HbError::CyclicHappensBefore`] when the base edges alone are
+    /// cyclic.
+    pub(crate) fn new(
+        graph: &SyncGraph,
+        trace: &Trace,
+        table: EventTable,
+        config: CausalityConfig,
+        sends: Vec<SendSite>,
+    ) -> Result<Self, HbError> {
+        let (nodes, ev_count) = (graph.node_count(), table.len());
+        let mut events_of_queue = vec![Vec::new(); trace.queue_count()];
+        let mut begin_event_of = vec![u32::MAX; nodes];
+        let mut end_event_of = vec![u32::MAX; nodes];
+        for (j, (&e, q)) in table.events.iter().zip(&table.queue_of).enumerate() {
             events_of_queue[q.index()].push(j as u32);
+            begin_event_of[graph.begin(e) as usize] = j as u32;
+            end_event_of[graph.end(e) as usize] = j as u32;
         }
-        let mut core = Self {
+        let mut send_of_event = vec![None; ev_count];
+        let mut front_sends = vec![Vec::new(); trace.queue_count()];
+        let mut send_of_node = vec![u32::MAX; nodes];
+        for (i, s) in sends.iter().enumerate() {
+            let i = i as u32;
+            if let Some(j) = table.dense(s.event) {
+                send_of_event[j as usize].get_or_insert(i);
+            }
+            if s.front {
+                // Unvalidated traces may name an unknown queue.
+                if let Some(fronts) = front_sends.get_mut(s.queue.index()) {
+                    fronts.push(i);
+                }
+            }
+            send_of_node[s.node as usize] = i;
+        }
+        let guard = CycleGuard::arm(graph, trace, &table, &end_event_of)?;
+        Ok(Self {
             config,
-            sends: Vec::new(),
-            send_of_event: vec![None; ev_count],
-            front_sends: vec![Vec::new(); queue_count],
+            sends,
+            send_of_event,
+            front_sends,
             events_of_queue,
-            begin_event_of: Vec::new(),
-            end_event_of: Vec::new(),
-            send_of_node: Vec::new(),
+            begin_event_of,
+            end_event_of,
+            send_of_node,
             derived_in: vec![Vec::new(); ev_count],
             derived_out: HashMap::new(),
             settled: vec![false; ev_count],
-            settled_count: 0,
             settled_roots: HashSet::new(),
             pending: Vec::new(),
             cone_scratch: Vec::new(),
-            visit_mark: Vec::new(),
+            visit_mark: vec![0; nodes],
             visit_epoch: 0,
-            sup_mark: Vec::new(),
+            sup_mark: vec![0; nodes],
             sup_epoch: 0,
-            work_mark: Vec::new(),
+            work_mark: vec![0; ev_count],
             work_epoch: 0,
-            fwd_mark: Vec::new(),
+            fwd_mark: vec![0; nodes],
             fwd_epoch: 0,
             bfs_stack: Vec::new(),
             sup_stack: Vec::new(),
             fwd_stack: Vec::new(),
-            nodes_seen: 0,
-            edges_seen: 0,
-            guard: CycleGuard::Off,
+            guard,
             cycle: None,
             stats: DemandStats::default(),
             table,
-        };
-        core.sync_graph(graph);
-        core
+        })
     }
 
     /// A snapshot of the work counters.
@@ -224,187 +320,14 @@ impl DemandCore {
         self.stats
     }
 
-    /// Arms the cycle check for the complete `trace` that `graph` holds
-    /// the base edges of. One Kahn pass over the base edges plus each
-    /// looper's processing order (`QueueInfo::events`) decides how:
-    ///
-    /// * acyclic — every derived edge joins two events of one looper,
-    ///   and one that runs forward in processing order lies in that
-    ///   graph's closure, so edges are trusted until the first backward
-    ///   one and checked exactly from then on;
-    /// * cyclic, with the base edges alone acyclic — the recorded order
-    ///   contradicts the base edges, so every edge is checked exactly.
-    ///
-    /// On recorded traces no derived edge runs backward, so the check
-    /// costs one pass at build time and nothing per edge.
-    ///
-    /// # Errors
-    ///
-    /// [`HbError::CyclicHappensBefore`] when the base edges alone are
-    /// cyclic.
-    pub(crate) fn guard_cycles(&mut self, graph: &SyncGraph, trace: &Trace) -> Result<(), HbError> {
-        let n = self.table.len();
-        let (mut pos, mut next) = (vec![u32::MAX; n], vec![u32::MAX; n]);
-        // Validated traces list every event once, on its own queue; any
-        // other shape just falls back to exact checks.
-        let mut listed = true;
-        for (qid, q) in trace.queues() {
-            let mut prev = u32::MAX;
-            for (k, &e) in q.events.iter().enumerate() {
-                match self.table.dense(e) {
-                    Some(j)
-                        if self.table.queue_of[j as usize] == qid
-                            && pos[j as usize] == u32::MAX =>
-                    {
-                        pos[j as usize] = k as u32;
-                        if prev != u32::MAX {
-                            next[prev as usize] = j;
-                        }
-                        prev = j;
-                    }
-                    _ => listed = false,
-                }
-            }
-        }
-        listed &= pos.iter().all(|&p| p != u32::MAX);
-        self.guard = if listed && self.acyclic_with(graph, &next) {
-            CycleGuard::Forward(pos)
-        } else {
-            graph
-                .topo_order()
-                .map_err(|nodes| HbError::cyclic(graph, &nodes))?;
-            CycleGuard::Exact
-        };
-        Ok(())
-    }
-
-    /// Kahn's pass over the base edges plus `end(e_j) → begin(e_next[j])`
-    /// for each dense event `j` with a successor: is the union acyclic?
-    /// `graph` must hold only compacted base edges, as a fresh
-    /// [`base_graph`](crate::base_graph) does.
-    fn acyclic_with(&self, graph: &SyncGraph, next: &[u32]) -> bool {
-        let begin_of = |k: u32| graph.begin(self.table.events[k as usize]);
-        let mut indegree = graph.in_degrees();
-        for &k in next.iter().filter(|&&k| k != u32::MAX) {
-            indegree[begin_of(k) as usize] += 1;
-        }
-        let mut stack: Vec<NodeId> = (0..indegree.len() as NodeId)
-            .filter(|&v| indegree[v as usize] == 0)
-            .collect();
-        let mut swept = 0;
-        while let Some(v) = stack.pop() {
-            swept += 1;
-            let i = self.end_event_of[v as usize];
-            let chained =
-                (i != u32::MAX && next[i as usize] != u32::MAX).then(|| begin_of(next[i as usize]));
-            for s in graph.csr_succs(v).iter().map(|&(s, _)| s).chain(chained) {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    stack.push(s);
-                }
-            }
-        }
-        swept == indegree.len()
-    }
-
     /// The first cycle a materialized edge would have closed, if any.
     pub(crate) fn cycle(&self) -> Option<&HbError> {
         self.cycle.as_ref()
     }
 
-    /// Registers send sites appended since the last call and un-settles
-    /// the anchors whose premise sets they extend: the posted event
-    /// itself (rules 1/3 anchor there) and, for a `sendAtFront`, every
-    /// event of the target queue (the rules-2/4 candidate list grew).
-    pub fn register_sends(&mut self, graph: &SyncGraph, sends: &[SendSite]) {
-        let mut seeds: Vec<NodeId> = Vec::new();
-        for (i, s) in sends.iter().enumerate().skip(self.sends.len()) {
-            let i = i as u32;
-            if let Some(j) = self.table.dense(s.event) {
-                if self.send_of_event[j as usize].is_none() {
-                    self.send_of_event[j as usize] = Some(i);
-                    if self.settled[j as usize] {
-                        seeds.push(graph.begin(s.event));
-                    }
-                }
-            }
-            if s.front {
-                if s.queue.index() >= self.front_sends.len() {
-                    self.front_sends.resize(s.queue.index() + 1, Vec::new());
-                    self.events_of_queue.resize(s.queue.index() + 1, Vec::new());
-                }
-                self.front_sends[s.queue.index()].push(i);
-                for &j in &self.events_of_queue[s.queue.index()] {
-                    if self.settled[j as usize] {
-                        seeds.push(graph.begin(self.table.events[j as usize]));
-                    }
-                }
-            }
-            let n = s.node as usize;
-            if n >= self.send_of_node.len() {
-                self.send_of_node.resize(n + 1, u32::MAX);
-            }
-            self.send_of_node[n] = i;
-            self.sends.push(*s);
-        }
-        if !seeds.is_empty() {
-            self.invalidate_from(graph, &seeds);
-        }
-    }
-
-    /// Follows graph growth: extends the per-node mark arrays and runs
-    /// the invalidation sweep from the targets of every edge appended
-    /// since the last call. Derived edges are kept: graph growth is
-    /// monotone, so a premise that held keeps holding — but cones,
-    /// settled anchors, and settled roots downstream of a new edge are
-    /// stale and get dropped.
-    pub fn sync_graph(&mut self, graph: &SyncGraph) {
-        let n = graph.node_count();
-        if n > self.begin_event_of.len() {
-            self.begin_event_of.resize(n, u32::MAX);
-            self.end_event_of.resize(n, u32::MAX);
-            if self.send_of_node.len() < n {
-                self.send_of_node.resize(n, u32::MAX);
-            }
-            self.visit_mark.resize(n, 0);
-            self.sup_mark.resize(n, 0);
-            self.fwd_mark.resize(n, 0);
-            // Begin/end nodes exist from the first sync (skeleton), but
-            // re-marking is idempotent and cheap relative to growth.
-            for (j, &e) in self.table.events.iter().enumerate() {
-                self.begin_event_of[graph.begin(e) as usize] = j as u32;
-                self.end_event_of[graph.end(e) as usize] = j as u32;
-            }
-        }
-        if self.work_mark.len() < self.table.len() {
-            self.work_mark.resize(self.table.len(), 0);
-        }
-        self.nodes_seen = n;
-        let log = graph.edge_log();
-        if log.len() > self.edges_seen {
-            // Before the first query nothing is memoized, so there is
-            // nothing a sweep could protect: construction (and every
-            // pre-query streaming seal) just advances the cursor
-            // instead of walking the entire appended edge suffix.
-            if self.has_memo() {
-                let seeds: Vec<NodeId> =
-                    log[self.edges_seen..].iter().map(|&(_, b, _)| b).collect();
-                self.invalidate_from(graph, &seeds);
-            }
-            self.edges_seen = log.len();
-        }
-    }
-
-    /// Is there any memoized state — settled anchors or settled roots —
-    /// that a graph extension could invalidate?
-    fn has_memo(&self) -> bool {
-        self.settled_count > 0 || !self.settled_roots.is_empty()
-    }
-
     /// Is there a non-empty path `from → to` in the full derived
     /// relation? Settles every anchor the answer could depend on first.
     pub fn reaches(&mut self, graph: &SyncGraph, from: NodeId, to: NodeId) -> bool {
-        self.sync_graph(graph);
         self.stats.queries += 1;
         self.settle(graph, to);
         from != to && self.cone_contains(graph, to, from)
@@ -536,10 +459,7 @@ impl DemandCore {
     /// invalidation sweep un-settles whatever they affect (including
     /// `j` itself, whose next evaluation then finds them implied).
     fn settle_anchor(&mut self, graph: &SyncGraph, j: u32, work: &mut Vec<u32>) {
-        if !self.settled[j as usize] {
-            self.settled[j as usize] = true;
-            self.settled_count += 1;
-        }
+        self.settled[j as usize] = true;
         let ev = self.table.events[j as usize];
         let begin_j = graph.begin(ev);
         let queue_j = self.table.queue_of[j as usize];
@@ -687,7 +607,6 @@ impl DemandCore {
     /// Records the first cycle found, naming its nodes.
     fn closes_cycle(&mut self, graph: &SyncGraph, j: u32, begin_j: NodeId, src: NodeId) -> bool {
         match &self.guard {
-            CycleGuard::Off => return false,
             CycleGuard::Forward(pos) => {
                 let i = self.end_event_of[src as usize];
                 if i != u32::MAX
@@ -764,12 +683,15 @@ impl DemandCore {
     /// Role check for one node reached by the invalidation sweep:
     /// un-settles the anchors whose premises read the node's cone, and
     /// seeds their begin nodes into the sweep.
+    ///
+    /// Rules 1/3 read the cone of the anchor's own send site, and need
+    /// no branch here: the site has a base `Send` edge to the anchor's
+    /// begin, so a sweep that reaches the site reaches that begin too.
     fn visit_invalidated(&mut self, graph: &SyncGraph, n: NodeId) {
         let begin_j = self.begin_event_of[n as usize];
-        if begin_j != u32::MAX && self.settled[begin_j as usize] {
+        if begin_j != u32::MAX {
             // Suppression cone and rules-2/4 premise (b) read cone(begin).
             self.settled[begin_j as usize] = false;
-            self.settled_count -= 1;
         }
         let end_j = self.end_event_of[n as usize];
         if end_j != u32::MAX && self.settled[end_j as usize] {
@@ -777,23 +699,14 @@ impl DemandCore {
             self.unsettle(graph, end_j);
         }
         let si = self.send_of_node[n as usize];
-        if si != u32::MAX {
-            let s = self.sends[si as usize];
-            // Rules 1/3 for the posted event read cone(send site).
-            if let Some(j) = self.table.dense(s.event) {
-                if self.send_of_event[j as usize] == Some(si) && self.settled[j as usize] {
-                    self.unsettle(graph, j);
-                }
-            }
+        if si != u32::MAX && self.sends[si as usize].front {
             // Rules 2/4 premise (a) reads cone(front-send site) for
             // every anchor of the queue.
-            if s.front {
-                let queue = s.queue.index();
-                for i in 0..self.events_of_queue[queue].len() {
-                    let j = self.events_of_queue[queue][i];
-                    if self.settled[j as usize] {
-                        self.unsettle(graph, j);
-                    }
+            let queue = self.sends[si as usize].queue.index();
+            for i in 0..self.events_of_queue.get(queue).map_or(0, Vec::len) {
+                let j = self.events_of_queue[queue][i];
+                if self.settled[j as usize] {
+                    self.unsettle(graph, j);
                 }
             }
         }
@@ -802,10 +715,7 @@ impl DemandCore {
     /// Un-settles anchor `j` and extends the sweep from its begin node
     /// (where its future conclusions would land).
     fn unsettle(&mut self, graph: &SyncGraph, j: u32) {
-        if self.settled[j as usize] {
-            self.settled[j as usize] = false;
-            self.settled_count -= 1;
-        }
+        self.settled[j as usize] = false;
         let b = graph.begin(self.table.events[j as usize]);
         if self.fwd_mark[b as usize] != self.fwd_epoch {
             self.fwd_mark[b as usize] = self.fwd_epoch;

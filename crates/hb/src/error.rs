@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use cafa_trace::TaskId;
+
 use crate::graph::{NodeId, NodePoint, SyncGraph};
 
 /// A failure while building a happens-before model.
@@ -18,10 +20,10 @@ pub enum HbError {
         /// sort left over, or those of the derived cycle the demand
         /// engine refused to close.
         cycle_len: usize,
-        /// Human-readable positions of up to the first few such nodes
-        /// (`task@begin`, `task@record<i>`, `task@end`), so the report
+        /// Positions of up to the first few such nodes, rendered as
+        /// `task@begin`, `task@record<i>` or `task@end`, so the report
         /// points at the inconsistent part of the trace.
-        cycle_nodes: Vec<String>,
+        cycle_nodes: Vec<(TaskId, NodePoint)>,
     },
     /// The rule fixpoint failed to converge within the internal round
     /// limit. Practically unreachable for well-formed traces: each round
@@ -60,16 +62,30 @@ impl HbError {
             .take(MAX_NAMED)
             .map(|&n| {
                 let info = graph.node(n);
-                match info.point {
-                    NodePoint::Begin => format!("{}@begin", info.task),
-                    NodePoint::Record(i) => format!("{}@record{}", info.task, i),
-                    NodePoint::End => format!("{}@end", info.task),
-                }
+                (info.task, info.point)
             })
             .collect();
         HbError::CyclicHappensBefore {
             cycle_len: nodes.len(),
             cycle_nodes,
+        }
+    }
+
+    /// Renames the tasks a cycle names through `map` — for an error
+    /// found in a projected sub-trace, the map back to the source
+    /// trace's task ids. The other variants are returned unchanged:
+    /// validated traces never produce `MalformedTrace`, and
+    /// `DerivationDiverged` comes only from whole-trace derivations.
+    pub fn map_tasks(self, map: impl Fn(TaskId) -> TaskId) -> Self {
+        match self {
+            HbError::CyclicHappensBefore {
+                cycle_len,
+                cycle_nodes,
+            } => HbError::CyclicHappensBefore {
+                cycle_len,
+                cycle_nodes: cycle_nodes.into_iter().map(|(t, p)| (map(t), p)).collect(),
+            },
+            other => other,
         }
     }
 
@@ -83,11 +99,7 @@ impl HbError {
         const MAX_NAMED: usize = 4;
         let name = |n: NodeId| {
             let info = graph.node(n);
-            match info.point {
-                NodePoint::Begin => format!("{}@begin", info.task),
-                NodePoint::Record(i) => format!("{}@record{}", info.task, i),
-                NodePoint::End => format!("{}@end", info.task),
-            }
+            node_name(info.task, info.point)
         };
         let last_delta = delta
             .iter()
@@ -125,8 +137,12 @@ impl fmt::Display for HbError {
                     f,
                     "happens-before relation is cyclic ({cycle_len} nodes in cycles"
                 )?;
-                if !cycle_nodes.is_empty() {
-                    write!(f, ", at {}", cycle_nodes.join(", "))?;
+                let names: Vec<String> = cycle_nodes
+                    .iter()
+                    .map(|&(task, point)| node_name(task, point))
+                    .collect();
+                if !names.is_empty() {
+                    write!(f, ", at {}", names.join(", "))?;
                 }
                 write!(f, "); the trace is not consistent with any real execution")
             }
@@ -154,6 +170,15 @@ impl fmt::Display for HbError {
 
 impl Error for HbError {}
 
+/// A sync point as `task@begin`, `task@record<i>` or `task@end`.
+fn node_name(task: TaskId, point: NodePoint) -> String {
+    match point {
+        NodePoint::Begin => format!("{task}@begin"),
+        NodePoint::Record(i) => format!("{task}@record{i}"),
+        NodePoint::End => format!("{task}@end"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,10 +187,14 @@ mod tests {
     fn display_mentions_detail() {
         let e = HbError::CyclicHappensBefore {
             cycle_len: 4,
-            cycle_nodes: vec!["t1@record2".into()],
+            cycle_nodes: vec![(TaskId::new(1), NodePoint::Record(2))],
         };
         assert!(e.to_string().contains('4'));
         assert!(e.to_string().contains("t1@record2"));
+        let moved = e.map_tasks(|t| TaskId::new(t.index() as u32 + 2));
+        assert!(moved
+            .to_string()
+            .contains("4 nodes in cycles, at t3@record2)"));
         let e = HbError::DerivationDiverged {
             rounds: 64,
             delta_edges: 3,

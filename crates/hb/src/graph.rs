@@ -102,7 +102,7 @@ pub enum EdgeKind {
 /// the fleet-scale tiers the per-node `Vec` representation cost more in
 /// page faults than the whole analysis, so batch construction compacts
 /// the log into two flat arrays per direction instead.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct CsrAdj {
     succ_off: Vec<u32>,
     succ: Vec<(NodeId, EdgeKind)>,
@@ -123,18 +123,15 @@ pub struct SyncGraph {
     /// construction is still appending (deferred mode — the log is the
     /// only record and per-node queries are not served yet).
     csr: Option<CsrAdj>,
-    /// Sparse adjacency overlay for edges added after compaction (rule
-    /// derivation, streaming appends). Keyed by source (`over_succ`) or
-    /// target (`over_pred`) node.
+    /// Sparse adjacency overlay for edges added after compaction (the
+    /// naive derivation's). Keyed by source (`over_succ`) or target
+    /// (`over_pred`) node.
     over_succ: HashMap<NodeId, Vec<(NodeId, EdgeKind)>>,
     over_pred: HashMap<NodeId, Vec<NodeId>>,
     edge_set: HashSet<u64, BuildHasherDefault<EdgeHasher>>,
     edge_kind_counts: Vec<(EdgeKind, usize)>,
     /// Chronological log of every edge ever added (the dedup in
-    /// [`SyncGraph::add_edge`] guarantees each appears once). Consumers
-    /// that maintain derived state — the demand engine following a
-    /// growing graph — remember a position in this log and process only
-    /// the suffix.
+    /// [`SyncGraph::add_edge`] guarantees each appears once).
     edge_log: Vec<(NodeId, NodeId, EdgeKind)>,
 }
 
@@ -191,84 +188,6 @@ impl SyncGraph {
             g.add_edge(prev, end, EdgeKind::Program);
         }
         g
-    }
-
-    /// Builds a *skeleton* graph for a trace whose task table is
-    /// complete but whose bodies may still be streaming in: `begin`/
-    /// `end` nodes for every task and nothing else. Record nodes are
-    /// added later with [`append_record`] and each task's final
-    /// `tail → end` program edge with [`seal_task`].
-    ///
-    /// [`append_record`]: SyncGraph::append_record
-    /// [`seal_task`]: SyncGraph::seal_task
-    pub fn skeleton(trace: &Trace) -> Self {
-        let task_count = trace.task_count();
-        let mut g = SyncGraph {
-            nodes: Vec::new(),
-            record_nodes: vec![Vec::new(); task_count],
-            begin_nodes: Vec::with_capacity(task_count),
-            end_nodes: Vec::with_capacity(task_count),
-            // Streaming appends interleave edge insertion with queries,
-            // so the skeleton starts "compacted" (an empty CSR) and
-            // every edge lands in the sparse overlay.
-            csr: Some(CsrAdj::default()),
-            over_succ: HashMap::new(),
-            over_pred: HashMap::new(),
-            edge_set: HashSet::default(),
-            edge_kind_counts: Vec::new(),
-            edge_log: Vec::new(),
-        };
-        for info in trace.tasks() {
-            let task = info.id;
-            let begin = g.push_node(NodeInfo {
-                task,
-                point: NodePoint::Begin,
-            });
-            g.begin_nodes.push(begin);
-            let end = g.push_node(NodeInfo {
-                task,
-                point: NodePoint::End,
-            });
-            g.end_nodes.push(end);
-        }
-        g
-    }
-
-    /// The current program-order tail of `task`: its latest appended
-    /// sync record, or `begin(task)` if none.
-    fn tail(&self, task: TaskId) -> NodeId {
-        self.record_nodes[task.index()]
-            .last()
-            .map_or(self.begin(task), |&(_, n)| n)
-    }
-
-    /// Appends the sync record at body index `index` of `task` to a
-    /// skeleton graph, chaining it after the task's current tail.
-    ///
-    /// Indices must be appended in increasing order per task, before
-    /// [`seal_task`](SyncGraph::seal_task) is called for that task.
-    pub fn append_record(&mut self, task: TaskId, index: u32) -> NodeId {
-        debug_assert!(
-            self.record_nodes[task.index()]
-                .last()
-                .map_or(true, |&(i, _)| i < index),
-            "record indices must be appended in order"
-        );
-        let tail = self.tail(task);
-        let n = self.push_node(NodeInfo {
-            task,
-            point: NodePoint::Record(index),
-        });
-        self.record_nodes[task.index()].push((index, n));
-        self.add_edge(tail, n, EdgeKind::Program);
-        n
-    }
-
-    /// Closes `task`'s program-order chain in a skeleton graph, adding
-    /// the final `tail → end(task)` edge. Idempotent.
-    pub fn seal_task(&mut self, task: TaskId) {
-        let tail = self.tail(task);
-        self.add_edge(tail, self.end(task), EdgeKind::Program);
     }
 
     fn push_node(&mut self, info: NodeInfo) -> NodeId {
@@ -332,16 +251,12 @@ impl SyncGraph {
         self.over_pred.clear();
     }
 
-    /// The compacted successor slice of `n` (empty when `n` postdates
-    /// the last compaction).
+    /// The compacted successor slice of `n`.
     pub(crate) fn csr_succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
         let Some(c) = &self.csr else {
             panic!("adjacency queried on a deferred graph (missing compact())");
         };
         let i = n as usize;
-        if i + 1 >= c.succ_off.len() {
-            return &[];
-        }
         &c.succ[c.succ_off[i] as usize..c.succ_off[i + 1] as usize]
     }
 
@@ -351,9 +266,6 @@ impl SyncGraph {
             panic!("adjacency queried on a deferred graph (missing compact())");
         };
         let i = n as usize;
-        if i + 1 >= c.pred_off.len() {
-            return &[];
-        }
         &c.pred[c.pred_off[i] as usize..c.pred_off[i + 1] as usize]
     }
 
@@ -367,9 +279,8 @@ impl SyncGraph {
 
     /// The chronological edge log: every edge of the graph, in the
     /// order it was added. `edge_log()[k..]` is exactly the set of
-    /// edges added since the log was `k` entries long: what the demand
-    /// engine invalidates from when an incremental graph grows, and a
-    /// naive round's delta.
+    /// edges added since the log was `k` entries long: a naive round's
+    /// delta.
     pub fn edge_log(&self) -> &[(NodeId, NodeId, EdgeKind)] {
         &self.edge_log
     }
@@ -636,38 +547,6 @@ mod tests {
             topo.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         assert!(pos[&f] < pos[&g.begin(child)]);
         assert!(pos[&g.end(child)] < pos[&j]);
-    }
-
-    #[test]
-    fn skeleton_appends_match_from_trace() {
-        let (t, main, child) = two_task_trace();
-        let batch = SyncGraph::from_trace(&t);
-        let mut g = SyncGraph::skeleton(&t);
-        // Begin/end for both tasks, no records, no edges yet.
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 0);
-        for info in t.tasks() {
-            for (i, r) in t.body(info.id).iter().enumerate() {
-                if r.is_sync() {
-                    g.append_record(info.id, i as u32);
-                }
-            }
-            g.seal_task(info.id);
-        }
-        assert_eq!(g.node_count(), batch.node_count());
-        assert_eq!(g.edge_count(), batch.edge_count());
-        // Same structure under task-relative queries.
-        let fork = g.node_of(OpRef::new(main, 1)).unwrap();
-        assert_eq!(g.node(fork).point, NodePoint::Record(1));
-        assert_eq!(g.bracket_before(OpRef::new(main, 0)), g.begin(main));
-        assert_eq!(g.bracket_after(OpRef::new(main, 4)), g.end(main));
-        let mut scratch = BitSet::new(g.node_count());
-        assert!(g.reaches(g.begin(main), g.end(main), &mut scratch));
-        assert!(g.reaches(g.begin(child), g.end(child), &mut scratch));
-        assert!(!g.reaches(g.begin(main), g.end(child), &mut scratch));
-        // Sealing twice is harmless.
-        g.seal_task(child);
-        assert_eq!(g.edge_count(), batch.edge_count());
     }
 
     #[test]

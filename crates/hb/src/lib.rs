@@ -63,7 +63,6 @@ mod demand;
 pub mod dot;
 mod error;
 mod graph;
-mod incremental;
 mod locks;
 mod model;
 pub mod oracle;
@@ -74,7 +73,6 @@ pub use config::CausalityConfig;
 pub use demand::DemandStats;
 pub use error::HbError;
 pub use graph::{EdgeKind, NodeId, NodeInfo, NodePoint, SyncGraph};
-pub use incremental::IncrementalHb;
 pub use locks::LockSets;
 pub use model::{CauseStep, HbModel, OpOrder};
 pub use oracle::{resolve_threads, ReachOracle};

@@ -132,9 +132,7 @@ impl<'t> HbModel<'t> {
             });
         }
         let (graph, sends) = base_graph_with_sends(trace, &config);
-        let mut core = DemandCore::new(&graph, table.clone(), config);
-        core.register_sends(&graph, &sends);
-        core.guard_cycles(&graph, trace)?;
+        let core = DemandCore::new(&graph, trace, table.clone(), config, sends)?;
         Ok(Self {
             trace,
             config,
@@ -319,6 +317,7 @@ impl<'t> HbModel<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodePoint;
     use cafa_trace::{ObjId, Pc, TraceBuilder, VarId};
 
     /// The Figure 1 MyTracks scenario: onServiceConnected (use) and
@@ -371,9 +370,12 @@ mod tests {
             m.check(),
             Err(HbError::CyclicHappensBefore {
                 cycle_len: 4,
-                cycle_nodes: ["t2@begin", "t2@record0", "t1@record0", "t1@end"]
-                    .map(String::from)
-                    .to_vec(),
+                cycle_nodes: vec![
+                    (eb, NodePoint::Begin),
+                    (eb, NodePoint::Record(0)),
+                    (a, NodePoint::Record(0)),
+                    (a, NodePoint::End),
+                ],
             })
         );
         // The edge that would close the cycle stays out of the relation.

@@ -477,20 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn non_program_edge_into_unsealed_end_is_not_a_seal() {
-        let trace = fork_join_trace();
-        let mut g = SyncGraph::skeleton(&trace);
-        let tasks: Vec<_> = trace.tasks().map(|t| t.id).collect();
-        g.append_record(tasks[0], 1);
-        // Same-chain non-program edge into the unsealed end: only the
-        // source (and its upstream) reach the end, not the whole chain.
-        let rec = g.node_of(cafa_trace::OpRef::new(tasks[0], 1)).unwrap();
-        g.add_edge(rec, g.end(tasks[0]), EdgeKind::External);
-        let oracle = ReachOracle::build(&g, 2).unwrap();
-        assert_matches_dfs(&g, &oracle);
-    }
-
-    #[test]
     fn resolve_threads_prefers_explicit_request() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);

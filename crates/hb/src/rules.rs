@@ -109,7 +109,7 @@ pub(crate) struct SendSite {
 /// Reusable round-local scratch: the per-anchor working sets and their
 /// sparse deltas, so a round's conclusions can be absorbed without
 /// per-round `Vec<Vec<_>>` allocations.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct RoundArena {
     /// Per dense event: the working set ("events whose end ≺ its
     /// begin, including this round's conclusions") saved when that
@@ -138,57 +138,6 @@ struct RoundArena {
     empty_send: BitSet,
 }
 
-/// The rule indices of one trace: the dense event table, per-queue
-/// event and send-site masks, and the send sites themselves.
-#[derive(Clone, Debug)]
-pub(crate) struct FixpointState {
-    /// Dense numbering of the (fixed) event set.
-    table: EventTable,
-    /// Per-queue event masks (dense indices), for the atomicity rule.
-    queue_mask: Vec<BitSet>,
-    /// Send sites, in ingestion order.
-    sends: Vec<SendSite>,
-    /// Per-queue send masks.
-    queue_send_mask: Vec<BitSet>,
-    /// Round-local scratch, reused across rounds.
-    arena: RoundArena,
-}
-
-impl FixpointState {
-    /// Creates empty rule indices for `trace`. The task table (hence
-    /// the event set) must be complete; bodies may still be streaming.
-    ///
-    /// # Errors
-    ///
-    /// [`HbError::MalformedTrace`] if an event task has no queue.
-    pub(crate) fn new(trace: &Trace) -> Result<Self, HbError> {
-        let table = EventTable::new(trace)?;
-        let mut queue_mask = vec![BitSet::new(table.len()); trace.queue_count()];
-        for (i, &q) in table.queue_of.iter().enumerate() {
-            queue_mask[q.index()].insert(i);
-        }
-        Ok(Self {
-            table,
-            queue_mask,
-            sends: Vec::new(),
-            queue_send_mask: vec![BitSet::new(0); trace.queue_count()],
-            arena: RoundArena::default(),
-        })
-    }
-
-    /// Registers send sites, growing the per-queue send masks.
-    pub(crate) fn add_sends(&mut self, new: &[SendSite]) {
-        let count = self.sends.len() + new.len();
-        for m in &mut self.queue_send_mask {
-            m.grow(count);
-        }
-        for s in new {
-            self.queue_send_mask[s.queue.index()].insert(self.sends.len());
-            self.sends.push(*s);
-        }
-    }
-}
-
 /// Statistics about a completed fixpoint derivation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DerivationStats {
@@ -215,12 +164,7 @@ impl DerivationStats {
 /// Computes, for every node, which marked nodes reach it (strictly,
 /// through at least one edge). `mark_of[n]` gives node `n`'s source
 /// index, if it is a source.
-pub(crate) fn flow(
-    g: &SyncGraph,
-    topo: &[NodeId],
-    mark_of: &[Option<u32>],
-    width: usize,
-) -> Vec<BitSet> {
+fn flow(g: &SyncGraph, topo: &[NodeId], mark_of: &[Option<u32>], width: usize) -> Vec<BitSet> {
     let mut acc: Vec<BitSet> = vec![BitSet::new(0); g.node_count()];
     for &n in topo {
         let mut row = BitSet::new(width);
@@ -236,7 +180,7 @@ pub(crate) fn flow(
 }
 
 /// Collects the send sites of `trace` (nodes resolved against `g`).
-pub(crate) fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
+fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
     let mut sends: Vec<SendSite> = Vec::new();
     for (at, r) in trace.iter_ops() {
         let (event, queue, delay_ms, front) = match *r {
@@ -260,28 +204,6 @@ pub(crate) fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
     sends
 }
 
-/// Runs the naive §3.3 fixpoint over `g`, adding every derived
-/// `end(e₁) → begin(e₂)` edge in place. The demand engine answers
-/// analysis queries; this loop is the reference the differential
-/// suites compare it against, and the derived edges `cafa graph` draws.
-///
-/// # Errors
-///
-/// [`HbError::CyclicHappensBefore`] if the graph ever becomes cyclic
-/// (an inconsistent trace), [`HbError::DerivationDiverged`] if the
-/// fixpoint fails to converge within an internal round limit,
-/// [`HbError::MalformedTrace`] if an event task has no queue.
-#[doc(hidden)]
-pub fn derive_naive(
-    g: &mut SyncGraph,
-    trace: &Trace,
-    config: &CausalityConfig,
-) -> Result<DerivationStats, HbError> {
-    let mut st = FixpointState::new(trace)?;
-    st.add_sends(&collect_sends(g, trace));
-    fixpoint_naive(g, config, &mut st)
-}
-
 /// Borrowed rule indices (immutable during a round).
 struct RuleIndex<'a> {
     table: &'a EventTable,
@@ -301,8 +223,6 @@ struct RowView<'a> {
 struct OrderCtx<'a> {
     /// `begin(e)` node per dense event.
     event_begin: &'a [NodeId],
-    /// `end(e)` node per dense event.
-    event_end: &'a [NodeId],
     /// Dense event → its (unique) posting send site, if any.
     send_of_event: &'a [Option<u32>],
     /// Topological position of each node, this round.
@@ -338,18 +258,11 @@ fn absorb_conclusion(
     if ctx.order_pos[i1] >= ctx.order_pos[j] {
         return;
     }
-    // Folding i1's prior claims end(x) ≺ begin(i1) ≺ end(i1) ≺ begin(j)
-    // — the middle link is i1's own begin→end program chain, which an
-    // incremental graph only has once i1's task is sealed. Without it
-    // the fold would smuggle facts the graph does not imply into the
-    // working set and suppress real edges, so absorb only the direct
-    // conclusion.
+    // Folding i1's prior claims end(x) ≺ begin(i1) ≺ end(i1) ≺ begin(j);
+    // the middle link is i1's own begin→end program chain.
     let Some(acc_begin) = rows.acc_begin else {
         return;
     };
-    if !acc_begin[ctx.event_end[i1] as usize].contains(i1) {
-        return;
-    }
     if fired_mask.contains(i1) {
         // i1's saved working set already folds its round-start facts
         // and the conclusions of anchors fired before it.
@@ -437,16 +350,6 @@ fn run_round(
         delta_buf,
         delta_span,
     } = arena;
-    let ev_count = ctx.event_begin.len();
-    if evord.len() < ev_count {
-        evord.resize_with(ev_count, || BitSet::new(0));
-    }
-    if fired_mask.capacity() < ev_count {
-        fired_mask.grow(ev_count);
-    }
-    if delta_span.len() < ev_count {
-        delta_span.resize(ev_count, (0, 0));
-    }
     fired.clear();
     fired_mask.clear();
     delta_buf.clear();
@@ -600,7 +503,6 @@ struct CallMarks {
     end_marks: Vec<Option<u32>>,
     send_marks: Vec<Option<u32>>,
     event_begin: Vec<NodeId>,
-    event_end: Vec<NodeId>,
     send_of_event: Vec<Option<u32>>,
 }
 
@@ -617,7 +519,6 @@ fn call_marks(
         end_marks[g.end(e) as usize] = Some(i as u32);
     }
     let event_begin: Vec<NodeId> = table.events.iter().map(|&e| g.begin(e)).collect();
-    let event_end: Vec<NodeId> = table.events.iter().map(|&e| g.end(e)).collect();
     let mut send_marks: Vec<Option<u32>> = Vec::new();
     let mut send_of_event: Vec<Option<u32>> = vec![None; table.len()];
     if track_send {
@@ -635,19 +536,31 @@ fn call_marks(
         end_marks,
         send_marks,
         event_begin,
-        event_end,
         send_of_event,
     }
 }
 
-/// The naive loop behind [`derive_naive`]: every round sweeps fresh
-/// reachability facts with three full [`flow`] passes and re-tests
-/// **every** rule instance — all event pairs and send-site pairs.
-pub(crate) fn fixpoint_naive(
+/// Runs the naive §3.3 fixpoint over `g`, adding every derived
+/// `end(e₁) → begin(e₂)` edge in place. The demand engine answers
+/// analysis queries; this loop is the reference the differential
+/// suites compare it against, and the derived edges `cafa graph` draws.
+/// Every round sweeps fresh reachability facts with three full `flow`
+/// passes and re-tests **every** rule instance — all event pairs and
+/// send-site pairs.
+///
+/// # Errors
+///
+/// [`HbError::CyclicHappensBefore`] if the graph ever becomes cyclic
+/// (an inconsistent trace), [`HbError::DerivationDiverged`] if the
+/// fixpoint fails to converge within an internal round limit,
+/// [`HbError::MalformedTrace`] if an event task has no queue.
+#[doc(hidden)]
+pub fn derive_naive(
     g: &mut SyncGraph,
+    trace: &Trace,
     config: &CausalityConfig,
-    st: &mut FixpointState,
 ) -> Result<DerivationStats, HbError> {
+    let table = EventTable::new(trace)?;
     let mut stats = DerivationStats::default();
     if !config.atomicity_rule && !config.queue_rules {
         g.topo_order().map_err(|nodes| HbError::cyclic(g, &nodes))?;
@@ -655,30 +568,31 @@ pub(crate) fn fixpoint_naive(
         return Ok(stats);
     }
 
-    let ev_count = st.table.len();
-    let track_send = config.queue_rules && !st.sends.is_empty();
-    let marks = call_marks(g, &st.table, &st.sends, track_send);
-
-    let FixpointState {
-        table,
-        queue_mask,
-        sends,
-        queue_send_mask,
-        arena,
-    } = st;
-
-    if arena.empty_ev.capacity() != ev_count {
-        arena.empty_ev = BitSet::new(ev_count);
+    let ev_count = table.len();
+    let sends = collect_sends(g, trace);
+    let mut queue_mask = vec![BitSet::new(ev_count); trace.queue_count()];
+    for (i, &q) in table.queue_of.iter().enumerate() {
+        queue_mask[q.index()].insert(i);
     }
-    if arena.empty_send.capacity() != sends.len() {
-        arena.empty_send = BitSet::new(sends.len());
+    let mut queue_send_mask = vec![BitSet::new(sends.len()); trace.queue_count()];
+    for (i, s) in sends.iter().enumerate() {
+        queue_send_mask[s.queue.index()].insert(i);
     }
-
+    let track_send = config.queue_rules && !sends.is_empty();
+    let marks = call_marks(g, &table, &sends, track_send);
+    let mut arena = RoundArena {
+        evord: vec![BitSet::new(0); ev_count],
+        fired_mask: BitSet::new(ev_count),
+        delta_span: vec![(0, 0); ev_count],
+        empty_ev: BitSet::new(ev_count),
+        empty_send: BitSet::new(sends.len()),
+        ..RoundArena::default()
+    };
     let idx = RuleIndex {
-        table,
-        queue_mask,
-        sends,
-        queue_send_mask,
+        table: &table,
+        queue_mask: &queue_mask,
+        sends: &sends,
+        queue_send_mask: &queue_send_mask,
     };
 
     let mut topo_pos: Vec<u32> = vec![0; g.node_count()];
@@ -715,14 +629,13 @@ pub(crate) fn fixpoint_naive(
         };
         let ctx = OrderCtx {
             event_begin: &marks.event_begin,
-            event_end: &marks.event_end,
             send_of_event: &marks.send_of_event,
             topo_pos: &topo_pos,
             order_pos: &order_pos,
         };
         let anchors = event_order.clone();
         let log_before = g.edge_log().len();
-        run_round(g, &idx, &view, &ctx, &anchors, arena, &mut stats);
+        run_round(g, &idx, &view, &ctx, &anchors, &mut arena, &mut stats);
         let log_after = g.edge_log().len();
         if log_after == log_before {
             return Ok(stats);

@@ -10,15 +10,12 @@
 //! exactly, and the demand engine must reject a trace (at build, or
 //! through `check()` after its queries) exactly when the naive
 //! derivation finds the relation cyclic. These tests pin that contract
-//! across three input families:
+//! across two input families:
 //!
 //! * **random tape traces** ([`trace_from_tape`]), all event pairs and
 //!   all operation pairs, under both rule configs;
 //! * **perturbed catalog traces** — bundled app workloads re-run under
-//!   simulation seeds Table 1 does not use;
-//! * **incremental seal-by-seal sequences** — a demand session that
-//!   never materializes rule edges, checked after every seal against a
-//!   naive-reference session that materializes everything.
+//!   simulation seeds Table 1 does not use.
 //!
 //! The reference answers every pair from one closure sweep over its
 //! materialized graph in topological order, not one search per pair.
@@ -28,7 +25,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use cafa_hb::bitset::BitSet;
-use cafa_hb::{base_graph, derive_naive, CausalityConfig, HbModel, IncrementalHb};
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, HbModel};
 use cafa_hb::{NodeId, SyncGraph};
 use cafa_trace::arbitrary::trace_from_tape;
 use cafa_trace::{OpRef, TaskId, Trace};
@@ -182,55 +179,6 @@ proptest! {
         let trace = trace_from_tape(&tape);
         assert_demand_matches_naive(&trace, CausalityConfig::cafa());
         assert_demand_matches_naive(&trace, CausalityConfig::conventional());
-    }
-
-    /// A demand-query incremental session against a naive-reference
-    /// session fed the identical seal sequence. The demand side never
-    /// calls a derive — the query engine does all rule work inside the
-    /// cones each answer needs; the reference side materializes the
-    /// full fixpoint after every seal. Every event pair must agree
-    /// after every single seal, including pairs involving still-unsealed
-    /// tasks (whose ends are disconnected, so no rule premise can fire
-    /// around them yet).
-    #[test]
-    fn incremental_demand_agrees_seal_by_seal(
-        tape in proptest::collection::vec(any::<u8>(), 0..300),
-    ) {
-        let trace = trace_from_tape(&tape);
-        let config = CausalityConfig::cafa();
-        let mut demand = IncrementalHb::new(&trace, config).expect("tape traces are well-formed");
-        let mut reference = IncrementalHb::new(&trace, config).expect("tape traces are well-formed");
-        let events = events_of(&trace);
-        for info in trace.tasks() {
-            demand.seal(&trace, info.id);
-            reference.seal(&trace, info.id);
-            if reference.derive_now_reference(&trace).is_err() {
-                return Ok(()); // cyclic tape; live answers are provisional
-            }
-            let closure = Closure::new(reference.graph(), sources(reference.graph(), &events, &[]));
-            for &a in &events {
-                for &b in &events {
-                    prop_assert_eq!(
-                        demand.demand_event_before(a, b),
-                        closure.event_before(a, b),
-                        "event_before({}, {}) diverged after sealing {}",
-                        a, b, info.id
-                    );
-                }
-            }
-        }
-        // Operation-level spot check once the whole trace is sealed.
-        let ops = ops_of(&trace, 80);
-        let closure = Closure::new(reference.graph(), sources(reference.graph(), &[], &ops));
-        for &a in &ops {
-            for &b in &ops {
-                prop_assert_eq!(
-                    demand.demand_happens_before(a, b),
-                    closure.happens_before(a, b),
-                    "happens_before({:?}, {:?}) diverged", a, b
-                );
-            }
-        }
     }
 }
 

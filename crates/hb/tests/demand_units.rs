@@ -1,12 +1,12 @@
 //! Deterministic edge-case units for the demand-driven query engine —
 //! the cases the differential proptest suites cover only by accident:
-//! self-queries, queries probing still-unsealed tasks, memo
-//! invalidation when an [`IncrementalHb`] extends the graph under a
-//! live query index, and the rare derived cycle a forward edge closes.
-//! No proptest here: every trace is built by hand, or is one fixed
-//! tape, so a failure names its scenario.
+//! self-queries, memo hits, the memo invalidation one grown cone
+//! needs, and the rare derived cycle a forward edge closes. No proptest
+//! here: every trace is built by hand, or is one fixed tape, so a
+//! failure names its scenario.
 
-use cafa_hb::{CausalityConfig, HbModel, IncrementalHb};
+use cafa_hb::bitset::BitSet;
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, HbModel};
 use cafa_trace::{DerefKind, ObjId, Pc, TaskId, Trace, TraceBuilder, VarId};
 
 /// A one-process app where the main thread posts `first` and `second`
@@ -47,86 +47,27 @@ fn self_query_is_never_ordered() {
     assert!(model.event_before(first, second), "rule 1 orders the posts");
 }
 
-/// An unsealed task's `end` is disconnected, so no rule premise can
-/// complete around it: the atomicity edge `end(first) ≺ begin(nested)`
-/// needs `begin(first) ≺ end(nested)`, and that premise probes the
-/// *unsealed* `nested`'s end. The demand engine must answer false —
-/// lazily evaluating the rule is not allowed to peek past the seal.
+/// A repeated query is a memo hit: asking it again evaluates no new
+/// premise, whether the answer is true or false.
 #[test]
-fn queries_against_unsealed_tasks_stay_unordered() {
-    let (trace, t, first, second, nested) = chain_trace();
-    let config = CausalityConfig::cafa();
-    let mut inc = IncrementalHb::new(&trace, config).expect("well-formed trace");
-
-    // Nothing sealed: no send is registered, nothing is ordered.
-    assert!(!inc.demand_event_before(first, second));
-    assert!(!inc.demand_event_before(first, nested));
-
-    // Sender sealed: both top-level sends are registered, so rule 1
-    // orders first ≺ second even though neither event body is sealed —
-    // the premises live entirely in the sealed sender.
-    inc.seal(&trace, t);
-    assert!(inc.demand_event_before(first, second));
-
-    // But first ≺ nested still needs the atomicity premise through
-    // end(nested), and `nested` is unsealed: must stay unordered.
-    inc.seal(&trace, first);
-    inc.seal(&trace, second);
-    assert!(
-        !inc.demand_event_before(first, nested),
-        "atomicity premise completed through an unsealed task's end"
-    );
-
-    inc.seal(&trace, nested);
-    assert!(
-        inc.demand_event_before(first, nested),
-        "sealing nested completes the atomicity premise"
-    );
-}
-
-/// Extending the graph must invalidate exactly the memoized state the
-/// new edges can reach: a query answered `false` before a seal flips
-/// to `true` after it, and a repeated query with no extension in
-/// between is a pure memo hit (no new premise evaluations).
-#[test]
-fn memos_invalidate_across_incremental_extension() {
-    let (trace, t, first, second, nested) = chain_trace();
-    let config = CausalityConfig::cafa();
-    let mut inc = IncrementalHb::new(&trace, config).expect("well-formed trace");
-    inc.seal(&trace, t);
-    inc.seal(&trace, first);
-    inc.seal(&trace, second);
-
-    // Settle the (currently-false) answer and memoize it.
-    assert!(!inc.demand_event_before(first, nested));
-    let before = inc.demand_stats().expect("queries ran");
-
-    // Re-asking the settled query costs no rule work.
-    assert!(!inc.demand_event_before(first, nested));
-    let repeat = inc.demand_stats().expect("queries ran");
-    assert_eq!(repeat.queries, before.queries + 1);
-    assert_eq!(
-        repeat.premises, before.premises,
-        "memoized query re-evaluated premises"
-    );
-
-    // Sealing `nested` adds its bracket edges; the invalidation sweep
-    // must reach the memoized root and flip the answer.
-    inc.seal(&trace, nested);
-    assert!(
-        inc.demand_event_before(first, nested),
-        "stale memo survived the extension"
-    );
-    let after = inc.demand_stats().expect("queries ran");
-    assert!(
-        after.premises > repeat.premises,
-        "the flipped answer must come from re-evaluated rules"
-    );
-
-    // And the refreshed answer memoizes again.
-    assert!(inc.demand_event_before(first, nested));
-    let settled = inc.demand_stats().expect("queries ran");
-    assert_eq!(settled.premises, after.premises);
+fn repeated_queries_evaluate_no_new_premises() {
+    let (trace, _, first, second, nested) = chain_trace();
+    let model = HbModel::build(&trace, CausalityConfig::cafa()).expect("chain trace is acyclic");
+    for (a, b, ordered) in [
+        (first, nested, true),
+        (nested, first, false),
+        (first, second, true),
+    ] {
+        assert_eq!(model.event_before(a, b), ordered, "{a} ≺ {b}");
+        let before = model.demand_stats().expect("rules run on demand");
+        assert_eq!(model.event_before(a, b), ordered, "{a} ≺ {b} asked again");
+        let repeat = model.demand_stats().expect("rules run on demand");
+        assert_eq!(repeat.queries, before.queries + 1);
+        assert_eq!(
+            repeat.premises, before.premises,
+            "repeated {a} ≺ {b} re-evaluated premises"
+        );
+    }
 }
 
 /// A random tape (found by search) on which, once a backward edge has
@@ -161,4 +102,38 @@ fn forward_edge_closing_a_cycle_after_a_backward_one_is_caught() {
             );
         }
     }
+}
+
+/// A random tape (found by search, then shrunk) on which a derived edge
+/// grows the cone of an event's `end`, re-opening the atomicity
+/// premises anchored at that event after a query had settled them. The
+/// invalidation sweep must un-settle the anchor it reaches through the
+/// `end` node: without that, one of these answers stays `false` where
+/// the naive fixpoint says `true`.
+#[test]
+fn growing_an_end_cone_unsettles_its_anchor() {
+    let tape: [u8; 102] = [
+        2, 0, 1, 0, 0, 4, 0, 0, 2, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 4, 0, 0, 2, 0, 0, 2, 0, 0, 1, 0,
+        0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 6, 0, 5, 0, 0, 4,
+        0, 0, 8, 0, 0, 0, 2, 0, 0, 9, 0, 9, 5, 4, 0, 0, 9, 7, 0, 0, 6, 0, 2, 0, 0, 14, 0, 0, 0, 0,
+        8, 7, 0, 0, 9, 5, 6, 0, 7, 3, 0, 2,
+    ];
+    let trace = cafa_trace::arbitrary::trace_from_tape(&tape);
+    let config = CausalityConfig::cafa();
+    let mut naive = base_graph(&trace, &config);
+    derive_naive(&mut naive, &trace, &config).expect("the tape is acyclic");
+    let model = HbModel::build(&trace, config).expect("the tape is acyclic");
+    let events: Vec<TaskId> = trace
+        .tasks()
+        .filter(|t| t.is_event())
+        .map(|t| t.id)
+        .collect();
+    let mut scratch = BitSet::new(naive.node_count());
+    for &a in &events {
+        for &b in &events {
+            let ordered = a != b && naive.reaches(naive.end(a), naive.begin(b), &mut scratch);
+            assert_eq!(model.event_before(a, b), ordered, "event_before({a}, {b})");
+        }
+    }
+    assert_eq!(model.check(), Ok(()));
 }

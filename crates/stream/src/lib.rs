@@ -1,4 +1,4 @@
-//! Streaming trace ingestion with optional live provisional reports.
+//! Streaming trace ingestion.
 //!
 //! The batch pipeline — `read_binary`/`read_text`, then
 //! [`Analyzer::analyze`](cafa_core::Analyzer) — needs the whole trace
@@ -12,17 +12,7 @@
 //!   end of stream, runs the unmodified batch pipeline — island
 //!   partitioning and the demand query engine — over the decoded
 //!   trace, so the final report is **byte-identical** to the batch
-//!   analyzer's by construction;
-//! * with [`StreamOptions::live`], the session also keeps an
-//!   [`IncrementalHb`](cafa_hb::IncrementalHb) (from `cafa-hb`) in
-//!   step with the decoded records and watches for use-free
-//!   candidates as soon as both endpoints' tasks are closed, emitting
-//!   [`ProvisionalRace`]s long before end of stream.
-//!
-//! Provisional emissions are a strictly separate channel —
-//! happens-before only grows as a trace extends, so a pair that looks
-//! concurrent mid-stream can still be ordered (or filtered) by the
-//! time the trace completes; the final report is the authority.
+//!   analyzer's by construction.
 //!
 //! # Examples
 //!
@@ -56,14 +46,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
 use cafa_core::{Analyzer, DetectorConfig, RaceReport};
-use cafa_engine::{extract_task, AnalysisSession, MemoryOps, PassStats};
-use cafa_hb::{HbError, IncrementalHb};
-use cafa_trace::{OpRef, Pc, ReadError, StreamDecoder, StreamEvent, TaskId, Trace, VarId};
+use cafa_engine::{AnalysisSession, PassStats};
+use cafa_hb::HbError;
+use cafa_trace::{ReadError, StreamDecoder, StreamEvent, Trace};
 
 /// Approximate in-memory cost of one decoded trace record held by the
 /// growing [`Trace`]: the record itself plus its share of the body
@@ -73,21 +62,14 @@ const TRACE_RECORD_COST: usize = 48;
 /// Configuration for an [`IncrementalSession`].
 #[derive(Clone, Copy, Debug)]
 pub struct StreamOptions {
-    /// Detector configuration for the final (authoritative) report.
+    /// Detector configuration for the report.
     pub detector: DetectorConfig,
-    /// Emit [`ProvisionalRace`]s from the online watcher as tasks
-    /// close. Off by default: provisional candidates are concurrency
-    /// evidence only (no heuristic filters, and a later suffix can
-    /// still order the pair); the final report is the authority. Only
-    /// a live session keeps happens-before state between pushes.
-    pub live: bool,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
         Self {
             detector: DetectorConfig::cafa(),
-            live: false,
         }
     }
 }
@@ -133,28 +115,6 @@ impl From<HbError> for StreamError {
     }
 }
 
-/// A use-free candidate observed mid-stream: both endpoints' tasks are
-/// complete and no happens-before path orders them *so far*.
-///
-/// Provisional by construction — the happens-before relation only
-/// grows as the trace extends, so a later suffix can order (retract)
-/// this pair, and the end-of-stream detector additionally applies the
-/// lockset/if-guard/allocation filters. Compare against
-/// [`StreamOutcome::report`] for the authoritative verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProvisionalRace {
-    /// The racing pointer variable.
-    pub var: VarId,
-    /// The use endpoint (the pointer read later dereferenced).
-    pub use_at: OpRef,
-    /// Program counter of the use's read.
-    pub use_pc: Pc,
-    /// The free endpoint (the null store).
-    pub free_at: OpRef,
-    /// Program counter of the free.
-    pub free_pc: Pc,
-}
-
 /// Counters describing how a stream was ingested.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamProgress {
@@ -179,16 +139,15 @@ pub struct StreamProgress {
 pub struct StreamOutcome {
     /// The fully decoded, validated trace.
     pub trace: Trace,
-    /// The authoritative race report — identical to what
+    /// The race report — identical to what
     /// [`Analyzer::analyze`](cafa_core::Analyzer::analyze) produces on
     /// [`trace`](StreamOutcome::trace).
     pub report: RaceReport,
     /// Ingestion counters.
     pub progress: StreamProgress,
-    /// Wall time and item counts of the streaming passes
-    /// (`stream-decode`, plus `hb-ingest`, `hb-demand` and `watch` in
-    /// live mode), accumulated across all pushes. The final analysis's
-    /// own passes are in the report's `stats.passes`.
+    /// Wall time and item counts of the `stream-decode` pass,
+    /// accumulated across all pushes. The analysis's own passes are in
+    /// the report's `stats.passes`.
     pub passes: PassStats,
 }
 
@@ -203,15 +162,9 @@ pub struct StreamOutcome {
 pub struct IncrementalSession {
     opts: StreamOptions,
     decoder: StreamDecoder,
-    /// Happens-before state for the live watcher; `None` unless
-    /// [`StreamOptions::live`].
-    hb: Option<IncrementalHb>,
     progress: StreamProgress,
     passes: PassStats,
     events: Vec<StreamEvent>,
-    // Online watcher state (only populated when `opts.live`).
-    ops: MemoryOps,
-    emitted: HashSet<(VarId, Pc, Pc)>,
 }
 
 impl IncrementalSession {
@@ -220,12 +173,9 @@ impl IncrementalSession {
         Self {
             opts,
             decoder: StreamDecoder::new(),
-            hb: None,
             progress: StreamProgress::default(),
             passes: PassStats::default(),
             events: Vec::new(),
-            ops: MemoryOps::default(),
-            emitted: HashSet::new(),
         }
     }
 
@@ -239,32 +189,18 @@ impl IncrementalSession {
         self.progress
     }
 
-    /// Demand query-engine counters (queries answered, rule premises
-    /// evaluated, derived edges materialized) accumulated by the live
-    /// watcher, if live mode has issued any queries yet. Always `None`
-    /// for a session that is not live.
-    pub fn demand_stats(&self) -> Option<cafa_hb::DemandStats> {
-        self.hb.as_ref().and_then(|hb| hb.demand_stats())
-    }
-
     /// True once the full trace has been received.
     pub fn is_complete(&self) -> bool {
         self.decoder.is_complete()
     }
 
     /// Modeled resident footprint of the whole session, in bytes: the
-    /// decoder's buffer, the decoded trace so far, and — in live mode
-    /// only — the incremental happens-before state. A deterministic
+    /// decoder's buffer and the decoded trace so far. A deterministic
     /// accounting estimate — the currency a multi-tenant server's
     /// memory budget and eviction policy are denominated in — not an
     /// allocator measurement.
     pub fn footprint_bytes(&self) -> usize {
-        self.decoder.buffered_bytes()
-            + self.progress.records as usize * TRACE_RECORD_COST
-            + self
-                .hb
-                .as_ref()
-                .map_or(0, cafa_hb::IncrementalHb::footprint_estimate)
+        self.decoder.buffered_bytes() + self.progress.records as usize * TRACE_RECORD_COST
     }
 
     /// Rebuilds a session by replaying the exact byte chunks a
@@ -276,10 +212,7 @@ impl IncrementalSession {
     /// session is *equivalent* to the one that was dropped: feeding
     /// both the same suffix produces byte-identical final reports, and
     /// replaying the original chunk boundaries reproduces the progress
-    /// counters too. Provisional candidates found during the replay
-    /// are discarded (they were already emitted by the original
-    /// session); the internal dedup set is retained, so the
-    /// continuation does not re-emit them either.
+    /// counters too.
     ///
     /// # Errors
     ///
@@ -296,19 +229,14 @@ impl IncrementalSession {
         Ok(session)
     }
 
-    /// Consumes one chunk: decodes it and — with
-    /// [`StreamOptions::live`] — extends the incremental happens-before
-    /// graph and runs the online watcher over any tasks that
-    /// completed, returning the provisional candidates it found.
-    /// Without `live` the result is always empty.
+    /// Consumes one chunk: decodes it into the growing trace.
     ///
     /// # Errors
     ///
-    /// [`StreamError::Read`] as soon as the stream is malformed;
-    /// [`StreamError::Hb`] in live mode if the task table names an
-    /// event without a queue. A cyclic relation is only detected by
-    /// [`finish`](IncrementalSession::finish).
-    pub fn push(&mut self, bytes: &[u8]) -> Result<Vec<ProvisionalRace>, StreamError> {
+    /// [`StreamError::Read`] as soon as the stream is malformed, bytes
+    /// after the end of the trace included. A cyclic relation is only
+    /// detected by [`finish`](IncrementalSession::finish).
+    pub fn push(&mut self, bytes: &[u8]) -> Result<(), StreamError> {
         self.progress.bytes += bytes.len() as u64;
         self.progress.chunks += 1;
 
@@ -317,112 +245,14 @@ impl IncrementalSession {
         self.decoder.push_into(bytes, &mut self.events)?;
         self.passes
             .accumulate("stream-decode", t0.elapsed(), bytes.len());
-
-        let mut sealed: Vec<TaskId> = Vec::new();
-        let t1 = Instant::now();
-        let mut ingested = 0usize;
-        for i in 0..self.events.len() {
-            match self.events[i] {
-                StreamEvent::TablesReady => {
-                    if self.opts.live {
-                        let trace = self.decoder.trace().expect("tables are ready");
-                        self.hb = Some(IncrementalHb::new(trace, self.opts.detector.causality)?);
-                    }
-                }
-                StreamEvent::Records { task, count } => {
-                    self.progress.records += count as u64;
-                    if let Some(hb) = self.hb.as_mut() {
-                        let trace = self.decoder.trace().expect("records imply tables");
-                        hb.ingest(trace, task);
-                        ingested += count;
-                    }
-                }
-                StreamEvent::BodyComplete { task } => {
-                    self.progress.tasks_sealed += 1;
-                    if let Some(hb) = self.hb.as_mut() {
-                        let trace = self.decoder.trace().expect("body implies tables");
-                        hb.seal(trace, task);
-                        sealed.push(task);
-                    }
-                }
-                StreamEvent::End => {}
+        for event in &self.events {
+            match event {
+                StreamEvent::Records { count, .. } => self.progress.records += *count as u64,
+                StreamEvent::BodyComplete { .. } => self.progress.tasks_sealed += 1,
+                StreamEvent::TablesReady | StreamEvent::End => {}
             }
         }
-        let mut found = Vec::new();
-        let Some(hb) = self.hb.as_mut() else {
-            return Ok(found);
-        };
-        self.passes.accumulate("hb-ingest", t1.elapsed(), ingested);
-
-        if !sealed.is_empty() {
-            // Extend the demand query index over the freshly sealed
-            // suffix instead of materializing the fixpoint: the
-            // watcher's queries settle only the cones they probe, so
-            // per-push cost tracks the new tasks, not the trace so
-            // far. (A cyclic prefix cannot be detected here — demand
-            // answers are computed without a topological order;
-            // `finish` still reports the cycle authoritatively.)
-            let t2 = Instant::now();
-            hb.sync_demand();
-            self.passes
-                .accumulate("hb-demand", t2.elapsed(), sealed.len());
-            let t3 = Instant::now();
-            for task in sealed {
-                self.watch_task(task, &mut found);
-            }
-            let emitted = found.len();
-            self.passes.accumulate("watch", t3.elapsed(), emitted);
-        }
-        Ok(found)
-    }
-
-    /// Extracts the freshly sealed task's memory operations and pairs
-    /// them against everything already watched.
-    fn watch_task(&mut self, task: TaskId, found: &mut Vec<ProvisionalRace>) {
-        let trace = self.decoder.trace().expect("sealed implies tables");
-        let old_uses = self.ops.uses.len();
-        let old_frees = self.ops.frees.len();
-        extract_task(trace, task, &mut self.ops);
-
-        let hb = self.hb.as_mut().expect("sealed implies tables");
-        // New uses pair against every free seen so far (old and new);
-        // new frees only against *old* uses, so a pair of two
-        // newcomers is examined exactly once.
-        for u in &self.ops.uses[old_uses..] {
-            let Some(vo) = self.ops.var_ops(u.var) else {
-                continue;
-            };
-            for &fi in &vo.frees {
-                let f = self.ops.frees[fi];
-                emit(
-                    hb,
-                    &mut self.emitted,
-                    found,
-                    u.var,
-                    (u.at, u.read_pc),
-                    (f.at, f.pc),
-                );
-            }
-        }
-        for f in &self.ops.frees[old_frees..] {
-            let Some(vo) = self.ops.var_ops(f.var) else {
-                continue;
-            };
-            for &ui in &vo.uses {
-                if ui >= old_uses {
-                    continue;
-                }
-                let u = self.ops.uses[ui];
-                emit(
-                    hb,
-                    &mut self.emitted,
-                    found,
-                    f.var,
-                    (u.at, u.read_pc),
-                    (f.at, f.pc),
-                );
-            }
-        }
+        Ok(())
     }
 
     /// Completes the stream: validates the trace and runs the
@@ -451,43 +281,10 @@ impl IncrementalSession {
     }
 }
 
-/// Records a provisional candidate if the pair is cross-task, unseen,
-/// and unordered under the demand query engine so far. Each direction
-/// is one `hb(a, b)` query; the engine settles only the cones those
-/// two answers need, so a sealed suffix costs rule work proportional
-/// to what the watcher actually probes.
-fn emit(
-    hb: &mut IncrementalHb,
-    emitted: &mut HashSet<(VarId, Pc, Pc)>,
-    found: &mut Vec<ProvisionalRace>,
-    var: VarId,
-    (use_at, use_pc): (OpRef, Pc),
-    (free_at, free_pc): (OpRef, Pc),
-) {
-    if use_at.task == free_at.task {
-        return;
-    }
-    let key = (var, use_pc, free_pc);
-    if emitted.contains(&key) {
-        return;
-    }
-    if hb.demand_happens_before(use_at, free_at) || hb.demand_happens_before(free_at, use_at) {
-        return;
-    }
-    emitted.insert(key);
-    found.push(ProvisionalRace {
-        var,
-        use_at,
-        use_pc,
-        free_at,
-        free_pc,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafa_trace::{to_binary_vec, to_text_string, DerefKind, ObjId, TraceBuilder};
+    use cafa_trace::{to_binary_vec, to_text_string, DerefKind, ObjId, Pc, TraceBuilder, VarId};
 
     fn racy_trace() -> Trace {
         let mut b = TraceBuilder::new("stream-racy");
@@ -510,18 +307,13 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn stream(
-        bytes: &[u8],
-        chunk: usize,
-        opts: StreamOptions,
-    ) -> (StreamOutcome, Vec<ProvisionalRace>) {
-        let mut s = IncrementalSession::new(opts);
-        let mut live = Vec::new();
+    fn stream(bytes: &[u8], chunk: usize) -> StreamOutcome {
+        let mut s = IncrementalSession::new(StreamOptions::default());
         for c in bytes.chunks(chunk.max(1)) {
-            live.extend(s.push(c).expect("valid stream"));
+            s.push(c).expect("valid stream");
         }
         assert!(s.is_complete());
-        (s.finish().expect("valid trace"), live)
+        s.finish().expect("valid trace")
     }
 
     #[test]
@@ -530,7 +322,7 @@ mod tests {
         let batch = Analyzer::new().analyze(&trace).unwrap();
         for bytes in [to_binary_vec(&trace), to_text_string(&trace).into_bytes()] {
             for chunk in [1, 13, 4096] {
-                let (out, _) = stream(&bytes, chunk, StreamOptions::default());
+                let out = stream(&bytes, chunk);
                 assert_eq!(out.trace, trace, "chunk {chunk}");
                 assert_eq!(out.report.races.len(), batch.races.len());
                 assert_eq!(out.report.races, batch.races, "chunk {chunk}");
@@ -541,35 +333,18 @@ mod tests {
     }
 
     #[test]
-    fn live_watcher_sees_the_race_before_finish() {
-        let trace = racy_trace();
-        let bytes = to_binary_vec(&trace);
-        let opts = StreamOptions {
-            live: true,
-            ..StreamOptions::default()
-        };
-        let (out, live) = stream(&bytes, 16, opts);
-        assert_eq!(live.len(), 1, "one provisional candidate");
-        assert_eq!(live[0].var, VarId::new(0));
-        assert_eq!(out.report.races.len(), 1);
-        assert_eq!(out.report.races[0].use_site.read_pc, live[0].use_pc);
-    }
-
-    #[test]
-    fn non_live_session_holds_no_happens_before_state() {
+    fn sessions_hold_only_decoder_state() {
         let trace = racy_trace();
         let bytes = to_binary_vec(&trace);
         let mut s = IncrementalSession::new(StreamOptions::default());
         for c in bytes.chunks(8) {
-            assert!(s.push(c).expect("valid stream").is_empty());
-            assert!(s.demand_stats().is_none());
+            s.push(c).expect("valid stream");
             assert_eq!(
                 s.footprint_bytes(),
                 s.decoder.buffered_bytes() + s.progress.records as usize * TRACE_RECORD_COST,
                 "footprint is the decoder buffer plus decoded records"
             );
         }
-        assert!(s.hb.is_none());
         let out = s.finish().expect("valid trace");
         assert_eq!(out.progress.derives, 0);
         assert_eq!(out.progress.backpressure_flushes, 0);
@@ -605,10 +380,27 @@ mod tests {
     fn progress_counters_cover_the_stream() {
         let trace = racy_trace();
         let bytes = to_binary_vec(&trace);
-        let (out, _) = stream(&bytes, 32, StreamOptions::default());
+        let out = stream(&bytes, 32);
         assert_eq!(out.progress.bytes, bytes.len() as u64);
         assert_eq!(out.progress.records as usize, trace.stats().records);
         assert_eq!(out.progress.tasks_sealed, trace.task_count());
+    }
+
+    /// A byte after a complete trace fails the push that carries it,
+    /// with the error batch decoding of the same bytes returns.
+    #[test]
+    fn bytes_after_the_end_fail_the_push_like_batch() {
+        let mut bytes = to_binary_vec(&racy_trace());
+        let end = bytes.len();
+        bytes.push(0x01);
+        let batch = cafa_trace::from_binary_slice(&bytes).expect_err("trailing byte");
+        let mut s = IncrementalSession::new(StreamOptions::default());
+        s.push(&bytes[..end]).expect("valid stream");
+        assert!(s.is_complete());
+        match s.push(&bytes[end..]) {
+            Err(StreamError::Read(e)) => assert_eq!(e.to_string(), batch.to_string()),
+            other => panic!("expected a read error, got {other:?}"),
+        }
     }
 
     #[test]

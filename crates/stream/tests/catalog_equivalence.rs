@@ -2,9 +2,8 @@
 //!
 //! The chunk-invariance guarantee: for every catalog trace, pushing
 //! the serialized bytes through an [`IncrementalSession`] — at any
-//! chunk size, in either wire format, with the live watcher on or
-//! off — yields the exact JSON report that batch `cafa analyze`
-//! produces. These tests pin that end to end on the real workloads;
+//! chunk size, in either wire format — yields the exact JSON report
+//! that batch `cafa analyze` produces. These tests pin that end to end on the real workloads;
 //! `ci.sh` repeats the check through the CLI binary.
 
 use cafa_apps::all_apps;
@@ -108,29 +107,5 @@ fn restore_replays_to_an_equivalent_session() {
             "app {} restored at byte {cut}",
             app.name
         );
-    }
-}
-
-/// Live provisional reporting never perturbs the authoritative report:
-/// on every catalog app, a live session's final JSON equals both the
-/// batch report and a non-live session's at the same chunking.
-#[test]
-fn live_mode_keeps_the_final_report_identical_on_every_app() {
-    for app in all_apps() {
-        let outcome = app.record(0).expect("workload records cleanly");
-        let trace = outcome.trace.expect("instrumentation is on");
-        let bytes = to_binary_vec(&trace);
-        let live = StreamOptions {
-            live: true,
-            ..StreamOptions::default()
-        };
-        let streamed_live = streamed_json(&bytes, 1024, live);
-        assert_eq!(
-            streamed_live,
-            streamed_json(&bytes, 1024, StreamOptions::default()),
-            "app {} live vs non-live",
-            app.name
-        );
-        assert_eq!(streamed_live, batch_json(&trace), "app {} live", app.name);
     }
 }
