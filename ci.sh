@@ -185,6 +185,35 @@ if ! cmp -s "$tmpdir/scale42.counts.txt" tests/golden/scale42_counts.txt; then
     exit 1
 fi
 
+echo "==> conventional baseline gate (10 apps + scale corpus under --model conventional vs pinned reports)"
+# The conventional model reads the shared base through its own edge
+# kinds; pin its reports, and require every partition mode and thread
+# count to reproduce them byte-for-byte.
+conventional_reports() { # args: extra analyze flags
+    for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do
+        echo "== $app"
+        ./target/release/cafa analyze "$tmpdir/$app.bin" --model conventional --format json "$@"
+    done
+    echo "== scale:42:100000"
+    ./target/release/cafa analyze "$tmpdir/scale42.bin" --model conventional "$@" | sed -n 1p
+}
+conventional_reports > "$tmpdir/conventional.txt"
+if ! cmp -s "$tmpdir/conventional.txt" tests/golden/conventional_reports.txt; then
+    echo "FAIL: conventional reports differ from tests/golden/conventional_reports.txt" >&2
+    diff tests/golden/conventional_reports.txt "$tmpdir/conventional.txt" >&2 || true
+    exit 1
+fi
+for mode in off auto force; do
+    for threads in 1 2 8; do
+        conventional_reports --partition "$mode" --threads "$threads" \
+            > "$tmpdir/conventional.$mode.t$threads.txt"
+        if ! cmp -s "$tmpdir/conventional.$mode.t$threads.txt" tests/golden/conventional_reports.txt; then
+            echo "FAIL: conventional reports differ under --partition $mode --threads $threads" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> fleet ingest server gate (10 concurrent sessions at --threads 1/2/8)"
 apps=(connectbot mytracks zxing todolist browser firefox vlc fbreader camera music)
 chunks=(7 64 389 1024 4096 7 64 389 1024 4096)

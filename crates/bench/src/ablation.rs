@@ -86,12 +86,8 @@ pub fn measure_app_stats(app: &AppSpec, seed: u64) -> (AblationRow, SessionStats
         full_coverage: analyze(&full_session, DetectorConfig::cafa()),
         precise_matching: analyze(&session, DetectorConfig::precise_matching()),
     };
-    let (s, fs) = (session.stats(), full_session.stats());
-    let stats = SessionStats {
-        ops_extractions: s.ops_extractions + fs.ops_extractions,
-        model_builds: s.model_builds + fs.model_builds,
-        model_cache_hits: s.model_cache_hits + fs.model_cache_hits,
-    };
+    let mut stats = session.stats();
+    stats += full_session.stats();
     (row, stats)
 }
 

@@ -647,8 +647,8 @@ fn print_timings(
     }
     let s = session.stats();
     println!(
-        "session: {} ops extraction(s), {} model build(s), {} cache hit(s)",
-        s.ops_extractions, s.model_builds, s.model_cache_hits
+        "session: {} ops extraction(s), {} base build(s), {} model build(s), {} cache hit(s)",
+        s.ops_extractions, s.base_builds, s.model_builds, s.model_cache_hits
     );
 }
 

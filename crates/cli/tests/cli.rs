@@ -352,6 +352,55 @@ fn analyze_follow_timings_print_the_batch_breakdown() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The number before `label` in a `--timings` line, e.g. the 3 of
+/// `3 base build(s)`.
+fn count_before(line: &str, label: &str) -> usize {
+    let head = &line[..line
+        .find(label)
+        .unwrap_or_else(|| panic!("{label} in {line}"))];
+    let number = head
+        .trim_end()
+        .rsplit([' ', ','])
+        .next()
+        .unwrap_or_default();
+    number
+        .parse()
+        .unwrap_or_else(|_| panic!("a count before {label} in {line}"))
+}
+
+#[test]
+fn island_sessions_count_one_base_per_batch() {
+    let path = tmp("camera-timings.bin");
+    assert!(cafa(&[
+        "record",
+        "camera",
+        "--format",
+        "binary",
+        "--out",
+        path.to_str().unwrap()
+    ])
+    .status
+    .success());
+    let out = cafa(&["analyze", path.to_str().unwrap(), "--timings"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let line = |prefix: &str| {
+        text.lines()
+            .map(str::trim)
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} line in {text}"))
+            .to_owned()
+    };
+    let batches = count_before(&line("partition: "), "batch(es)");
+    let session = line("session: ");
+    let bases = count_before(&session, "base build(s)");
+    let models = count_before(&session, "model build(s)");
+    assert!(batches > 1, "{text}");
+    assert_eq!(bases, batches, "one base per batch: {session}");
+    assert!(models >= batches && models <= 2 * batches, "{session}");
+    std::fs::remove_file(&path).ok();
+}
+
 /// Where a cyclic test trace gets an unrelated thread of 10,000
 /// writes: an island that takes the trace past the size at which the
 /// default path partitions it. Created first, the filler shifts every

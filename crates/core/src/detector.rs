@@ -5,9 +5,9 @@
 //! `hb-build` (the CAFA happens-before model) → `candidates`
 //! (concurrent (use, free) pairs per pointer variable) → `filters`
 //! (lockset, if-guard, and intra-event-allocation suppression) →
-//! `baseline-hb` (the conventional model, base edges plus one
-//! vector-clock sweep, built lazily and only when a cross-looper race
-//! needs classification) → `classify`. Per-pass wall time and item
+//! `baseline-hb` (the conventional model: one vector-clock sweep over
+//! the session's shared base, built lazily and only when a cross-looper
+//! race needs classification) → `classify`. Per-pass wall time and item
 //! counts land in [`DetectStats::passes`](crate::report::DetectStats);
 //! shared state (memory ops, models) lives in the session so repeated
 //! analyses of one trace reuse it.
@@ -245,10 +245,10 @@ impl Analyzer {
     ///
     /// The conventional classification baseline is built lazily, and
     /// only when a cross-looper race needs it for classification. It
-    /// has no rules to derive, so it is a base graph plus one
-    /// vector-clock sweep, not a second fixpoint. Consequently a trace
-    /// whose conventional model cannot be built only fails here when a
-    /// cross-looper race actually needs it.
+    /// has no rules to derive, so it is one vector-clock sweep over the
+    /// base the session built for the CAFA model, not a second graph or
+    /// fixpoint. Consequently a trace whose conventional model cannot be
+    /// built only fails here when a cross-looper race actually needs it.
     ///
     /// # Errors
     ///

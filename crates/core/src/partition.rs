@@ -155,13 +155,16 @@ pub(crate) fn try_partitioned(
         let inner = AnalysisSession::new(&projection.trace);
         Analyzer::with_config(inner_config)
             .analyze_with(&inner)
-            .map(|report| unproject_report(report, &projection))
+            .map(|report| (unproject_report(report, &projection), inner.stats()))
             .map_err(|e| e.map_tasks(|t| projection.tasks[t.index()]))
     });
 
     let mut reports = Vec::with_capacity(results.len());
     for result in results {
-        reports.push(result?);
+        let (report, counters) = result?;
+        // One base per batch, visible on the caller's session.
+        session.add_stats(counters);
+        reports.push(report);
     }
 
     let mut stats = DetectStats {
@@ -304,6 +307,12 @@ mod tests {
             assert_eq!(stats.islands, 7);
             assert!(stats.batches <= stats.islands);
             assert_eq!(render_json(&report, &trace), reference);
+            // Every batch built one base, and a model or two on it.
+            let counters = session.stats();
+            assert_eq!(counters.base_builds, stats.batches);
+            assert_eq!(counters.ops_extractions, stats.batches);
+            assert!(counters.model_builds >= stats.batches);
+            assert!(counters.model_builds <= 2 * stats.batches);
         }
     }
 

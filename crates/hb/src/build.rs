@@ -7,194 +7,289 @@
 //! unlock→lock). The *derived* orders (atomicity and queue rules) come
 //! afterwards: on demand from `crate::demand`, or all at once from the
 //! naive reference loop in [`crate::rules`].
+//!
+//! One sweep builds every graph, whichever kinds it holds: nodes and
+//! program edges go straight to flat arrays, and the records the
+//! pairing rules join are listed as `(key, node)` and paired by sorting
+//! rather than hashing (ids come from the input, so no table is indexed
+//! by one).
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
-use cafa_trace::{MonitorId, OpRef, Record, Trace, TxnId};
+use cafa_trace::{Record, TaskId, Trace};
 
 use crate::config::CausalityConfig;
-use crate::graph::{EdgeKind, SyncGraph};
-use crate::rules::SendSite;
+use crate::error::HbError;
+use crate::graph::{EdgeKind, EdgeKinds, NodeId, SyncGraph};
+use crate::rules::{EventTable, SendSite};
 
 /// Builds the sync graph for `trace` and installs all base edges
 /// demanded by `config`.
 pub fn base_graph(trace: &Trace, config: &CausalityConfig) -> SyncGraph {
-    build_base(trace, config, false).0
+    sweep(trace, EdgeKinds::of(config)).0
 }
 
-/// [`base_graph`] that also returns the trace's send sites, collected
-/// during the same sweep — the demand engine's rule index needs them,
-/// and this saves it a second pass over the operations.
-pub(crate) fn base_graph_with_sends(
-    trace: &Trace,
-    config: &CausalityConfig,
-) -> (SyncGraph, Vec<SendSite>) {
-    build_base(trace, config, true)
+/// The base of one trace: its sync graph, its send sites and its
+/// [`EventTable`], built in one sweep and shared by every
+/// [`HbModel`](crate::HbModel) that can read it.
+///
+/// The shared base ([`HbBase::shared`]) holds CAFA's base edges. The
+/// demand engine reads it as it is, for CAFA and the no-queue-rules
+/// ablation alike. A rule-free model reads only its config's edge
+/// kinds, so the conventional baseline reads it without the `External`
+/// edges, with each looper's processing order as implicit edges. A
+/// config that needs an edge kind the base lacks (`lock_hb`) gets a
+/// base of its own from the same sweep.
+#[derive(Debug)]
+pub struct HbBase<'t> {
+    pub(crate) trace: &'t Trace,
+    pub(crate) graph: SyncGraph,
+    pub(crate) sends: Vec<SendSite>,
+    pub(crate) table: EventTable,
+    /// The edge kinds `graph` holds.
+    pub(crate) kinds: EdgeKinds,
 }
 
-/// The shared sweep; `collect_sends` is off where no rule reads them.
-fn build_base(
-    trace: &Trace,
-    config: &CausalityConfig,
-    collect_sends: bool,
-) -> (SyncGraph, Vec<SendSite>) {
-    // Defer adjacency: every edge below goes only to the log, and one
-    // compaction at the end builds the flat CSR — on large traces the
-    // per-edge adjacency writes otherwise dominate construction.
-    let mut g = SyncGraph::from_trace_deferred(trace);
+impl<'t> HbBase<'t> {
+    /// The shared base of `trace`: CAFA's base edges.
+    ///
+    /// # Errors
+    ///
+    /// [`HbError::MalformedTrace`] if an event task has no queue.
+    pub fn shared(trace: &'t Trace) -> Result<Self, HbError> {
+        Self::with_kinds(trace, EdgeKinds::SHARED)
+    }
+
+    /// The base of exactly `config`'s relation: what a model of `config`
+    /// reads when it has no shared base. Rule-free configs read each
+    /// looper's order implicitly, so it holds no `TotalOrder` edge for
+    /// them.
+    pub(crate) fn for_config(trace: &'t Trace, config: &CausalityConfig) -> Result<Self, HbError> {
+        Self::with_kinds(trace, model_kinds(config))
+    }
+
+    fn with_kinds(trace: &'t Trace, kinds: EdgeKinds) -> Result<Self, HbError> {
+        let table = EventTable::new(trace)?;
+        let (graph, sends) = sweep(trace, kinds);
+        Ok(Self {
+            trace,
+            graph,
+            sends,
+            table,
+            kinds,
+        })
+    }
+
+    /// Whether a model of `config` can read the shared base.
+    pub fn shares(config: &CausalityConfig) -> bool {
+        serves(EdgeKinds::SHARED, config)
+    }
+
+    /// Whether a model of `config` can read this base: the demand
+    /// engine reads a base as it is, so it must hold exactly `config`'s
+    /// kinds; a rule-free model reads any base holding its kinds.
+    pub fn serves(&self, config: &CausalityConfig) -> bool {
+        serves(self.kinds, config)
+    }
+
+    /// The sync graph.
+    pub fn graph(&self) -> &SyncGraph {
+        &self.graph
+    }
+}
+
+/// The base kinds a model of `config` reads from its graph.
+pub(crate) fn model_kinds(config: &CausalityConfig) -> EdgeKinds {
+    let kinds = EdgeKinds::of(config);
+    if config.derives() {
+        kinds
+    } else {
+        kinds.without(EdgeKind::TotalOrder)
+    }
+}
+
+fn serves(held: EdgeKinds, config: &CausalityConfig) -> bool {
+    let wanted = model_kinds(config);
+    if config.derives() {
+        held == wanted
+    } else {
+        held.includes(wanted)
+    }
+}
+
+/// A cross edge to or from a task's `begin`/`end`, logged once every
+/// task has its nodes.
+enum TaskEdge {
+    Fork(NodeId, TaskId),
+    Join(TaskId, NodeId),
+    Send(NodeId, TaskId),
+}
+
+/// The one sweep every graph is built by: the graph of `trace` holding
+/// the base edges of `kinds`, and the trace's send sites.
+///
+/// Cross edges are logged in a fixed phase order (fork, join and send
+/// edges together, then each pairing rule, the external-input rule,
+/// looper order and lock order), each phase in trace order within a
+/// key, so a node's successors and predecessors come in the same order
+/// whatever other kinds the graph holds.
+pub(crate) fn sweep(trace: &Trace, kinds: EdgeKinds) -> (SyncGraph, Vec<SendSite>) {
+    let mut g = SyncGraph::deferred(trace.task_count());
     let mut sends: Vec<SendSite> = Vec::new();
+    let mut task_edges: Vec<TaskEdge> = Vec::new();
 
-    // Pairing tables filled in one sweep.
-    let mut notifies: HashMap<(MonitorId, u32), Vec<OpRef>> = HashMap::new();
-    let mut waits: HashMap<(MonitorId, u32), Vec<OpRef>> = HashMap::new();
-    let mut registers: HashMap<cafa_trace::ListenerId, Vec<OpRef>> = HashMap::new();
-    let mut performs: HashMap<cafa_trace::ListenerId, Vec<OpRef>> = HashMap::new();
-    let mut rpc_calls: HashMap<TxnId, Vec<OpRef>> = HashMap::new();
-    let mut rpc_handles: HashMap<TxnId, Vec<OpRef>> = HashMap::new();
-    let mut rpc_replies: HashMap<TxnId, Vec<OpRef>> = HashMap::new();
-    let mut rpc_receives: HashMap<TxnId, Vec<OpRef>> = HashMap::new();
-    let mut locks: HashMap<MonitorId, Vec<(u32, OpRef)>> = HashMap::new();
-    let mut unlocks: HashMap<MonitorId, Vec<(u32, OpRef)>> = HashMap::new();
+    // Pairing lists, `(key, node)` in trace order.
+    let mut notifies = Vec::new();
+    let mut waits = Vec::new();
+    let mut registers = Vec::new();
+    let mut performs = Vec::new();
+    let mut rpc_calls = Vec::new();
+    let mut rpc_handles = Vec::new();
+    let mut rpc_replies = Vec::new();
+    let mut rpc_receives = Vec::new();
+    let mut locks = Vec::new();
+    let mut unlocks = Vec::new();
+    let notify_wait = kinds.contains(EdgeKind::NotifyWait);
+    let listeners = kinds.contains(EdgeKind::Register);
+    let rpc = kinds.contains(EdgeKind::Rpc);
+    let lock_order = kinds.contains(EdgeKind::LockOrder);
 
-    for (at, record) in trace.iter_ops() {
-        match *record {
-            Record::Fork { child } => {
-                let n = g.node_of(at).expect("fork is a sync record");
-                let edge = (n, g.begin(child));
-                g.add_edge(edge.0, edge.1, EdgeKind::Fork);
+    for info in trace.tasks() {
+        let task = info.id;
+        g.open_task(task);
+        for (i, record) in trace.body(task).iter().enumerate() {
+            if !record.is_sync() {
+                continue;
             }
-            Record::Join { child } => {
-                let n = g.node_of(at).expect("join is a sync record");
-                g.add_edge(g.end(child), n, EdgeKind::Join);
-            }
-            Record::Send {
-                event,
-                queue,
-                delay_ms,
-            } => {
-                let n = g.node_of(at).expect("send is a sync record");
-                g.add_edge(n, g.begin(event), EdgeKind::Send);
-                sends.extend(collect_sends.then_some(SendSite {
-                    node: n,
+            let n = g.push_record(task, i as u32);
+            match *record {
+                Record::Fork { child } => task_edges.push(TaskEdge::Fork(n, child)),
+                Record::Join { child } => task_edges.push(TaskEdge::Join(child, n)),
+                Record::Send {
                     event,
                     queue,
                     delay_ms,
-                    front: false,
-                }));
+                } => {
+                    task_edges.push(TaskEdge::Send(n, event));
+                    sends.push(SendSite {
+                        node: n,
+                        event,
+                        queue,
+                        delay_ms,
+                        front: false,
+                    });
+                }
+                Record::SendAtFront { event, queue } => {
+                    task_edges.push(TaskEdge::Send(n, event));
+                    sends.push(SendSite {
+                        node: n,
+                        event,
+                        queue,
+                        delay_ms: 0,
+                        front: true,
+                    });
+                }
+                Record::Notify { monitor, gen } if notify_wait => {
+                    notifies.push(((monitor, gen), n));
+                }
+                Record::Wait { monitor, gen } if notify_wait => waits.push(((monitor, gen), n)),
+                Record::Register { listener } if listeners => registers.push((listener, n)),
+                Record::Perform { listener } if listeners => performs.push((listener, n)),
+                Record::RpcCall { txn } if rpc => rpc_calls.push((txn, n)),
+                Record::RpcHandle { txn } if rpc => rpc_handles.push((txn, n)),
+                Record::RpcReply { txn } if rpc => rpc_replies.push((txn, n)),
+                Record::RpcReceive { txn } if rpc => rpc_receives.push((txn, n)),
+                Record::Lock { monitor, gen } if lock_order => locks.push(((monitor, gen), n)),
+                Record::Unlock { monitor, gen } if lock_order => {
+                    unlocks.push(((monitor, gen), n));
+                }
+                _ => {}
             }
-            Record::SendAtFront { event, queue } => {
-                let n = g.node_of(at).expect("send is a sync record");
-                g.add_edge(n, g.begin(event), EdgeKind::Send);
-                sends.extend(collect_sends.then_some(SendSite {
-                    node: n,
-                    event,
-                    queue,
-                    delay_ms: 0,
-                    front: true,
-                }));
+        }
+        g.close_task(task);
+    }
+    g.seal_nodes();
+
+    for edge in task_edges {
+        match edge {
+            TaskEdge::Fork(n, child) if kinds.contains(EdgeKind::Fork) => {
+                g.push_cross(n, g.begin(child), EdgeKind::Fork);
             }
-            Record::Notify { monitor, gen } => notifies.entry((monitor, gen)).or_default().push(at),
-            Record::Wait { monitor, gen } => waits.entry((monitor, gen)).or_default().push(at),
-            Record::Register { listener } => registers.entry(listener).or_default().push(at),
-            Record::Perform { listener } => performs.entry(listener).or_default().push(at),
-            Record::RpcCall { txn } => rpc_calls.entry(txn).or_default().push(at),
-            Record::RpcHandle { txn } => rpc_handles.entry(txn).or_default().push(at),
-            Record::RpcReply { txn } => rpc_replies.entry(txn).or_default().push(at),
-            Record::RpcReceive { txn } => rpc_receives.entry(txn).or_default().push(at),
-            Record::Lock { monitor, gen } => locks.entry(monitor).or_default().push((gen, at)),
-            Record::Unlock { monitor, gen } => unlocks.entry(monitor).or_default().push((gen, at)),
+            TaskEdge::Join(child, n) if kinds.contains(EdgeKind::Join) => {
+                g.push_cross(g.end(child), n, EdgeKind::Join);
+            }
+            TaskEdge::Send(n, event) if kinds.contains(EdgeKind::Send) => {
+                g.push_cross(n, g.begin(event), EdgeKind::Send);
+            }
             _ => {}
         }
     }
 
-    // Signal-and-wait rule, paired by notification generation.
-    for (key, ns) in &notifies {
-        if let Some(ws) = waits.get(key) {
-            for &n in ns {
-                for &w in ws {
-                    let (nn, wn) = (g.node_of(n).unwrap(), g.node_of(w).unwrap());
-                    if n.task == w.task {
-                        continue; // a task cannot wake its own wait
-                    }
-                    g.add_edge(nn, wn, EdgeKind::NotifyWait);
-                }
-            }
+    // Signal-and-wait rule, paired by notification generation; a task
+    // cannot wake its own wait.
+    pair_runs(&mut notifies, &mut waits, |n, w| {
+        if g.node(n).task != g.node(w).task {
+            g.push_cross(n, w, EdgeKind::NotifyWait);
         }
-    }
+    });
 
     // Event-listener rule: every register happens-before every perform
-    // of the same listener (same-task pairs that would contradict
-    // program order are skipped; they cannot occur in real traces).
-    if config.listener_rule {
-        for (listener, regs) in &registers {
-            if let Some(perfs) = performs.get(listener) {
-                for &r in regs {
-                    for &p in perfs {
-                        if r.task == p.task && r.index >= p.index {
-                            continue;
-                        }
-                        let (rn, pn) = (g.node_of(r).unwrap(), g.node_of(p).unwrap());
-                        g.add_edge(rn, pn, EdgeKind::Register);
-                    }
-                }
-            }
+    // of the same listener (a same-task perform that program order puts
+    // first is skipped; it cannot occur in real traces).
+    pair_runs(&mut registers, &mut performs, |r, p| {
+        if g.node(r).task != g.node(p).task || r < p {
+            g.push_cross(r, p, EdgeKind::Register);
         }
-    }
+    });
 
     // Binder RPC: call ≺ handle, reply ≺ receive (§5.2).
-    for (txn, calls) in &rpc_calls {
-        if let Some(handles) = rpc_handles.get(txn) {
-            for &c in calls {
-                for &h in handles {
-                    g.add_edge(g.node_of(c).unwrap(), g.node_of(h).unwrap(), EdgeKind::Rpc);
-                }
-            }
-        }
-    }
-    for (txn, replies) in &rpc_replies {
-        if let Some(receives) = rpc_receives.get(txn) {
-            for &r in replies {
-                for &rc in receives {
-                    g.add_edge(g.node_of(r).unwrap(), g.node_of(rc).unwrap(), EdgeKind::Rpc);
-                }
-            }
-        }
-    }
+    pair_runs(&mut rpc_calls, &mut rpc_handles, |c, h| {
+        g.push_cross(c, h, EdgeKind::Rpc);
+    });
+    pair_runs(&mut rpc_replies, &mut rpc_receives, |r, rc| {
+        g.push_cross(r, rc, EdgeKind::Rpc);
+    });
 
-    // External-input rule: chain consecutive externally-generated events.
-    if config.external_rule {
+    // External-input rule: chain consecutive externally-generated
+    // events. Each external event is listed once.
+    let external = kinds.contains(EdgeKind::External);
+    if external {
         for pair in trace.external_events().windows(2) {
-            g.add_edge(g.end(pair[0]), g.begin(pair[1]), EdgeKind::External);
+            g.push_cross(g.end(pair[0]), g.begin(pair[1]), EdgeKind::External);
         }
     }
 
-    // Conventional baseline: each looper's events in a total order.
-    if config.total_event_order {
+    // Conventional baseline: each looper's events in a total order,
+    // except where the external-input rule already put an edge.
+    if kinds.contains(EdgeKind::TotalOrder) {
+        let mut external_next = vec![None; if external { trace.task_count() } else { 0 }];
+        for pair in trace.external_events().windows(2) {
+            if let Some(next) = external_next.get_mut(pair[0].index()) {
+                *next = Some(pair[1]);
+            }
+        }
         for (_, q) in trace.queues() {
             for pair in q.events.windows(2) {
-                g.add_edge(g.end(pair[0]), g.begin(pair[1]), EdgeKind::TotalOrder);
+                if external_next.get(pair[0].index()) != Some(&Some(pair[1])) {
+                    g.push_cross(g.end(pair[0]), g.begin(pair[1]), EdgeKind::TotalOrder);
+                }
             }
         }
     }
 
-    // FastTrack-style ablation: unlock(g) ≺ next lock acquisition.
-    if config.lock_hb {
-        for (monitor, mut uls) in unlocks {
-            let Some(mut ls) = locks.remove(&monitor) else {
-                continue;
-            };
-            uls.sort_by_key(|&(gen, _)| gen);
-            ls.sort_by_key(|&(gen, _)| gen);
-            for &(gen, at) in &uls {
-                // The next acquisition after this release.
-                let next = ls.partition_point(|&(lgen, _)| lgen <= gen);
-                if let Some(&(_, lock_at)) = ls.get(next) {
-                    g.add_edge(
-                        g.node_of(at).unwrap(),
-                        g.node_of(lock_at).unwrap(),
-                        EdgeKind::LockOrder,
-                    );
-                }
+    // FastTrack-style ablation: unlock(g) ≺ next lock acquisition of the
+    // same monitor.
+    if lock_order {
+        locks.sort_unstable();
+        unlocks.sort_unstable();
+        let mut from = 0;
+        for &((monitor, gen), unlock) in &unlocks {
+            from += locks[from..].partition_point(|&((m, _), _)| m < monitor);
+            let same = &locks[from..];
+            let same = &same[..same.partition_point(|&((m, _), _)| m == monitor)];
+            let next = same.partition_point(|&((_, lgen), _)| lgen <= gen);
+            if let Some(&(_, lock)) = same.get(next) {
+                g.push_cross(unlock, lock, EdgeKind::LockOrder);
             }
         }
     }
@@ -203,11 +298,42 @@ fn build_base(
     (g, sends)
 }
 
+/// Sorts two `(key, node)` lists and calls `pair(a, b)` for every `a`
+/// and `b` of one key: keys ascending, then `a`, then `b`, each in
+/// trace order (node ids ascend in trace order, so sorting the pairs
+/// keeps it within a key).
+fn pair_runs<K: Ord + Copy>(
+    a: &mut [(K, NodeId)],
+    b: &mut [(K, NodeId)],
+    mut pair: impl FnMut(NodeId, NodeId),
+) {
+    a.sort_unstable();
+    b.sort_unstable();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let key = a[i].0;
+        match key.cmp(&b[j].0) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let a_end = i + a[i..].partition_point(|x| x.0 == key);
+                let b_end = j + b[j..].partition_point(|x| x.0 == key);
+                for &(_, x) in &a[i..a_end] {
+                    for &(_, y) in &b[j..b_end] {
+                        pair(x, y);
+                    }
+                }
+                (i, j) = (a_end, b_end);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitset::BitSet;
-    use cafa_trace::TraceBuilder;
+    use cafa_trace::{MonitorId, OpRef, TraceBuilder};
 
     #[test]
     fn fork_join_edges() {
@@ -333,6 +459,59 @@ mod tests {
         assert!(g.reaches(call, handle, &mut scratch));
         assert!(g.reaches(reply, recv, &mut scratch));
         assert!(!g.reaches(recv, call, &mut scratch));
+    }
+
+    #[test]
+    fn same_task_register_then_perform_is_one_program_edge() {
+        let mut b = TraceBuilder::new("t");
+        let p = b.add_process();
+        let t = b.add_thread(p, "main");
+        let l = b.add_listener("android.view");
+        let reg = b.register(t, l);
+        let perf = b.perform(t, l);
+        let trace = b.finish().unwrap();
+        let g = base_graph(&trace, &CausalityConfig::cafa());
+        let (rn, pn) = (g.node_of(reg).unwrap(), g.node_of(perf).unwrap());
+        assert_eq!(pn, rn + 1, "adjacent sync nodes");
+        let between: Vec<EdgeKind> = g
+            .edge_log()
+            .iter()
+            .filter(|&&(from, to, _)| (from, to) == (rn, pn))
+            .map(|&(_, _, kind)| kind)
+            .collect();
+        assert_eq!(between, [EdgeKind::Program], "stored once");
+        assert_eq!(g.succs(rn).count(), 1);
+        // begin → register → perform → end: three program edges.
+        assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
+    fn build_logs_no_total_order_edge_for_a_model() {
+        let mut b = TraceBuilder::new("t");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let t = b.add_thread(p, "main");
+        let e1 = b.post(t, q, "e1", 0);
+        let e2 = b.post(t, q, "e2", 100);
+        b.process_event(e1);
+        b.process_event(e2);
+        let trace = b.finish().unwrap();
+        for config in [
+            CausalityConfig::cafa(),
+            CausalityConfig::conventional(),
+            CausalityConfig::no_queue_rules(),
+            CausalityConfig::fasttrack_like(),
+        ] {
+            let base = HbBase::for_config(&trace, &config).unwrap();
+            let kinds = base.graph.edge_kind_counts();
+            assert!(kinds.iter().all(|&(k, _)| k != EdgeKind::TotalOrder));
+        }
+        let shared = HbBase::shared(&trace).unwrap();
+        assert!(shared.serves(&CausalityConfig::conventional()));
+        assert!(!shared.serves(&CausalityConfig::fasttrack_like()));
+        // The reference graph still materializes looper order.
+        let g = base_graph(&trace, &CausalityConfig::conventional());
+        assert!(g.edge_kind_counts().contains(&(EdgeKind::TotalOrder, 1)));
     }
 
     #[test]

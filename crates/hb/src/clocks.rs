@@ -5,15 +5,21 @@
 //! operations": the atomicity and event-queue rules. A config with
 //! both rules off — the paper's conventional baseline, the
 //! FastTrack-style ablation, CAFA's bare base edges — has no such
-//! orders. Its relation is plain reachability over the base
-//! [`SyncGraph`], which one forward clock sweep answers exactly.
+//! orders. Its relation is plain reachability over its base edges,
+//! which one forward clock sweep answers exactly.
 //!
+//! * **Edges read.** The sweep reads only the config's edge kinds out
+//!   of whatever base it is given, so the conventional baseline reads
+//!   the shared CAFA base without its `External` edges. Under
+//!   `total_event_order` each looper's processing order adds implicit
+//!   `end → begin` edges between consecutive events (see
+//!   `looper.rs`); no `TotalOrder` edge is materialized.
 //! * **Chains.** Every thread is a chain of its sync nodes. Under
 //!   `total_event_order` each looper's processed events, in
-//!   `QueueInfo::events` order, continue one chain (the `TotalOrder`
-//!   edge links each `end` to the next `begin`); any other event is a
-//!   chain of its own. Every chain is a graph path, so two nodes of
-//!   one chain are ordered exactly by position.
+//!   `QueueInfo::events` order, continue one chain (the implicit edge
+//!   links each `end` to the next `begin`); any other event is a chain
+//!   of its own. Every chain is a path, so two nodes of one chain are
+//!   ordered exactly by position.
 //! * **Width.** A clock has one slot per chain of the chain's weakly
 //!   connected component — an island's threads plus loopers — since no
 //!   order crosses components.
@@ -26,10 +32,12 @@
 //!   compare on one chain, or one binary search over the snapshots of
 //!   `to`'s chain.
 
-use cafa_trace::Trace;
-
 use crate::bitset::BitSet;
+use crate::build::{model_kinds, HbBase};
+use crate::config::CausalityConfig;
+use crate::error::HbError;
 use crate::graph::{NodeId, SyncGraph};
+use crate::looper::{topo_sweep, LooperOrder};
 
 /// Clock entries are chain positions plus one, so 0 means "no node of
 /// that chain reaches here".
@@ -62,24 +70,36 @@ struct Chain {
 }
 
 impl Clocks {
-    /// Sweeps the base graph of a rule-free config (compacted: every
-    /// edge in the CSR arrays).
+    /// Sweeps the relation of the rule-free `config` over `base`, which
+    /// must hold every edge kind the config reads.
     ///
     /// # Errors
     ///
-    /// The nodes left with unsatisfied in-edges when the graph is
-    /// cyclic — the same set [`SyncGraph::topo_order`] reports.
-    pub(crate) fn build(
-        graph: &SyncGraph,
-        trace: &Trace,
-        total_event_order: bool,
-    ) -> Result<Self, Vec<NodeId>> {
+    /// [`HbError::CyclicHappensBefore`] naming the nodes left with
+    /// unsatisfied in-edges when the relation is cyclic, and
+    /// [`HbError::MalformedTrace`] under `total_event_order` when an
+    /// event is not listed once in its looper's processing order.
+    pub(crate) fn build(base: &HbBase<'_>, config: &CausalityConfig) -> Result<Self, HbError> {
+        let (graph, trace) = (&base.graph, base.trace);
+        let reads = model_kinds(config);
+        let kinds = (!reads.includes(base.kinds)).then_some(reads);
+        let looper = if config.total_event_order {
+            let order = LooperOrder::new(graph, trace, &base.table).map_err(|task| {
+                HbError::MalformedTrace {
+                    task: task.to_string(),
+                    detail: "not listed once in its queue's processing order".to_owned(),
+                }
+            })?;
+            Some(order)
+        } else {
+            None
+        };
         let n = graph.node_count();
         let tasks = trace.task_count();
         let mut task_chain = vec![u32::MAX; tasks];
         let mut task_base = vec![0u32; tasks];
         let mut chains = 0u32;
-        if total_event_order {
+        if looper.is_some() {
             for (_, q) in trace.queues() {
                 let mut pos = 0;
                 for &e in &q.events {
@@ -115,9 +135,9 @@ impl Clocks {
         let mut marked = BitSet::new(n);
         for u in 0..n as NodeId {
             let cu = at[u as usize].0;
-            for &(v, _) in graph.csr_succs(u) {
+            for &(v, kind) in graph.csr_succs(u) {
                 let cv = at[v as usize].0;
-                if cu == cv {
+                if cu == cv || kinds.is_some_and(|kinds| !kinds.contains(kind)) {
                     continue;
                 }
                 let (ru, rv) = (find(&mut chains, cu), find(&mut chains, cv));
@@ -157,55 +177,40 @@ impl Clocks {
 
         // Kahn's pass. Chain order is topological, so each chain's
         // snapshots fill in ascending position, `snaps` counting them.
-        let mut indegree = graph.in_degrees();
-        let mut stack: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| indegree[v as usize] == 0)
-            .collect();
-        let mut swept = 0;
-        while let Some(v) = stack.pop() {
-            swept += 1;
-            if marked.contains(v as usize) {
-                let (c, p) = at[v as usize];
-                let ch = &mut clocks.chains[c as usize];
-                let (k, w) = (ch.snaps as usize, ch.width as usize);
-                ch.snaps += 1;
-                let dst = ch.clock + k * w;
-                clocks.snap_pos[ch.snap as usize + k] = p;
-                if k > 0 {
-                    // The running chain clock continues from the chain's
-                    // previous snapshot, across event boundaries too.
-                    clocks.clocks.copy_within(dst - w..dst, dst);
+        topo_sweep(graph, kinds, looper.as_ref(), |v| {
+            if !marked.contains(v as usize) {
+                return;
+            }
+            let (c, p) = at[v as usize];
+            let ch = &mut clocks.chains[c as usize];
+            let (k, w) = (ch.snaps as usize, ch.width as usize);
+            ch.snaps += 1;
+            let dst = ch.clock + k * w;
+            clocks.snap_pos[ch.snap as usize + k] = p;
+            if k > 0 {
+                // The running chain clock continues from the chain's
+                // previous snapshot, across event boundaries too.
+                clocks.clocks.copy_within(dst - w..dst, dst);
+            }
+            clocks.clocks[dst + ch.slot as usize] = p + 1;
+            let preds = graph.csr_preds(v).iter().zip(graph.csr_pred_kinds(v));
+            for (&u, &kind) in preds {
+                let (cu, pu) = at[u as usize];
+                if cu == c || kinds.is_some_and(|kinds| !kinds.contains(kind)) {
+                    continue;
                 }
-                clocks.clocks[dst + ch.slot as usize] = p + 1;
-                for &u in graph.csr_preds(v) {
-                    let (cu, pu) = at[u as usize];
-                    if cu != c {
-                        if let Some(src) = clocks.clock_at(cu, pu) {
-                            for i in 0..w {
-                                let x = clocks.clocks[src + i];
-                                let y = &mut clocks.clocks[dst + i];
-                                *y = (*y).max(x);
-                            }
-                        }
-                        let own = dst + clocks.chains[cu as usize].slot as usize;
-                        clocks.clocks[own] = clocks.clocks[own].max(pu + 1);
+                if let Some(src) = clocks.clock_at(cu, pu) {
+                    for i in 0..w {
+                        let x = clocks.clocks[src + i];
+                        let y = &mut clocks.clocks[dst + i];
+                        *y = (*y).max(x);
                     }
                 }
+                let own = dst + clocks.chains[cu as usize].slot as usize;
+                clocks.clocks[own] = clocks.clocks[own].max(pu + 1);
             }
-            // Successors backwards: the program successor, pushed last,
-            // pops next, so the sweep walks along chains.
-            for &(s, _) in graph.csr_succs(v).iter().rev() {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    stack.push(s);
-                }
-            }
-        }
-        if swept < n {
-            return Err((0..n as NodeId)
-                .filter(|&v| indegree[v as usize] > 0)
-                .collect());
-        }
+        })
+        .map_err(|nodes| HbError::cyclic(graph, &nodes))?;
         Ok(clocks)
     }
 

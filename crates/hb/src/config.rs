@@ -82,6 +82,13 @@ impl CausalityConfig {
             ..Self::conventional()
         }
     }
+
+    /// Whether the relation has rules to derive (atomicity or queue):
+    /// the demand engine answers it. A rule-free relation is plain
+    /// reachability over its base edges, which vector clocks answer.
+    pub(crate) const fn derives(&self) -> bool {
+        self.atomicity_rule || self.queue_rules
+    }
 }
 
 impl Default for CausalityConfig {

@@ -45,12 +45,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cafa_trace::Trace;
-
+use crate::build::HbBase;
 use crate::config::CausalityConfig;
 use crate::error::HbError;
 use crate::graph::{EdgeKind, NodeId, SyncGraph};
-use crate::rules::{EventTable, SendSite};
+use crate::looper::{topo_sweep, LooperOrder};
 
 /// Counters for `--timings`: how much lazy rule work a run performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,9 +81,9 @@ enum CycleGuard {
 }
 
 impl CycleGuard {
-    /// Arms the check for the complete `trace` that `graph` holds the
-    /// base edges of. One Kahn pass over the base edges plus each
-    /// looper's processing order (`QueueInfo::events`) decides how:
+    /// Arms the check for the complete `base` of a trace. One Kahn pass
+    /// over the base edges plus each looper's processing order
+    /// (`QueueInfo::events`) decides how:
     ///
     /// * acyclic — every derived edge joins two events of one looper,
     ///   and one that runs forward in processing order lies in that
@@ -94,41 +93,20 @@ impl CycleGuard {
     ///   contradicts the base edges, so every edge is checked exactly.
     ///
     /// On recorded traces no derived edge runs backward, so the check
-    /// costs one pass at build time and nothing per edge.
+    /// costs one pass at build time and nothing per edge. Validated
+    /// traces list every event once, on its own queue; any other shape
+    /// just falls back to exact checks.
     ///
     /// # Errors
     ///
     /// [`HbError::CyclicHappensBefore`] when the base edges alone are
     /// cyclic.
-    fn arm(
-        graph: &SyncGraph,
-        trace: &Trace,
-        table: &EventTable,
-        end_event_of: &[u32],
-    ) -> Result<Self, HbError> {
-        let n = table.len();
-        let (mut pos, mut next) = (vec![u32::MAX; n], vec![u32::MAX; n]);
-        // Validated traces list every event once, on its own queue; any
-        // other shape just falls back to exact checks.
-        let mut listed = true;
-        for (qid, q) in trace.queues() {
-            let mut prev = u32::MAX;
-            for (k, &e) in q.events.iter().enumerate() {
-                match table.dense(e) {
-                    Some(j) if table.queue_of[j as usize] == qid && pos[j as usize] == u32::MAX => {
-                        pos[j as usize] = k as u32;
-                        if prev != u32::MAX {
-                            next[prev as usize] = j;
-                        }
-                        prev = j;
-                    }
-                    _ => listed = false,
-                }
+    fn arm(base: &HbBase<'_>) -> Result<Self, HbError> {
+        let graph = &base.graph;
+        if let Ok(order) = LooperOrder::new(graph, base.trace, &base.table) {
+            if topo_sweep(graph, None, Some(&order), |_| {}).is_ok() {
+                return Ok(CycleGuard::Forward(order.pos));
             }
-        }
-        listed &= pos.iter().all(|&p| p != u32::MAX);
-        if listed && acyclic_with(graph, table, end_event_of, &next) {
-            return Ok(CycleGuard::Forward(pos));
         }
         graph
             .topo_order()
@@ -137,46 +115,14 @@ impl CycleGuard {
     }
 }
 
-/// Kahn's pass over the base edges plus `end(e_j) → begin(e_next[j])`
-/// for each dense event `j` with a successor: is the union acyclic?
-/// `graph` must hold only compacted base edges, as a fresh
-/// [`base_graph`](crate::base_graph) does.
-fn acyclic_with(graph: &SyncGraph, table: &EventTable, end_event_of: &[u32], next: &[u32]) -> bool {
-    let begin_of = |k: u32| graph.begin(table.events[k as usize]);
-    let mut indegree = graph.in_degrees();
-    for &k in next.iter().filter(|&&k| k != u32::MAX) {
-        indegree[begin_of(k) as usize] += 1;
-    }
-    let mut stack: Vec<NodeId> = (0..indegree.len() as NodeId)
-        .filter(|&v| indegree[v as usize] == 0)
-        .collect();
-    let mut swept = 0;
-    while let Some(v) = stack.pop() {
-        swept += 1;
-        let i = end_event_of[v as usize];
-        let chained =
-            (i != u32::MAX && next[i as usize] != u32::MAX).then(|| begin_of(next[i as usize]));
-        for s in graph.csr_succs(v).iter().map(|&(s, _)| s).chain(chained) {
-            indegree[s as usize] -= 1;
-            if indegree[s as usize] == 0 {
-                stack.push(s);
-            }
-        }
-    }
-    swept == indegree.len()
-}
-
-/// The demand-driven query engine over one sync graph.
+/// The demand-driven query engine over one base.
 ///
-/// The core does not own the graph, which the model keeps beside it;
-/// every method borrows it. Derived edges live here, never in the graph
-/// itself.
+/// The core does not own the base, which the model shares with every
+/// other model of the trace; every method borrows it. Derived edges
+/// live here, never in the base graph itself.
 #[derive(Debug)]
 pub struct DemandCore {
     config: CausalityConfig,
-    table: EventTable,
-    /// Every send site of the trace, in trace order.
-    sends: Vec<SendSite>,
     /// Per dense event: the send that posted it, if any.
     send_of_event: Vec<Option<u32>>,
     /// Per queue: indices of `sendAtFront` sites (rules 2/4 candidates).
@@ -241,21 +187,15 @@ pub struct DemandCore {
 }
 
 impl DemandCore {
-    /// Creates the core for the complete base `graph` of `trace`, its
-    /// event `table` and every send site of the trace, with the cycle
-    /// check armed (see [`CycleGuard::arm`]).
+    /// Creates the core over the complete `base` of a trace, with the
+    /// cycle check armed (see [`CycleGuard::arm`]).
     ///
     /// # Errors
     ///
     /// [`HbError::CyclicHappensBefore`] when the base edges alone are
     /// cyclic.
-    pub(crate) fn new(
-        graph: &SyncGraph,
-        trace: &Trace,
-        table: EventTable,
-        config: CausalityConfig,
-        sends: Vec<SendSite>,
-    ) -> Result<Self, HbError> {
+    pub(crate) fn new(base: &HbBase<'_>, config: CausalityConfig) -> Result<Self, HbError> {
+        let (graph, trace, table) = (&base.graph, base.trace, &base.table);
         let (nodes, ev_count) = (graph.node_count(), table.len());
         let mut events_of_queue = vec![Vec::new(); trace.queue_count()];
         let mut begin_event_of = vec![u32::MAX; nodes];
@@ -268,7 +208,7 @@ impl DemandCore {
         let mut send_of_event = vec![None; ev_count];
         let mut front_sends = vec![Vec::new(); trace.queue_count()];
         let mut send_of_node = vec![u32::MAX; nodes];
-        for (i, s) in sends.iter().enumerate() {
+        for (i, s) in base.sends.iter().enumerate() {
             let i = i as u32;
             if let Some(j) = table.dense(s.event) {
                 send_of_event[j as usize].get_or_insert(i);
@@ -281,10 +221,9 @@ impl DemandCore {
             }
             send_of_node[s.node as usize] = i;
         }
-        let guard = CycleGuard::arm(graph, trace, &table, &end_event_of)?;
+        let guard = CycleGuard::arm(base)?;
         Ok(Self {
             config,
-            sends,
             send_of_event,
             front_sends,
             events_of_queue,
@@ -311,7 +250,6 @@ impl DemandCore {
             guard,
             cycle: None,
             stats: DemandStats::default(),
-            table,
         })
     }
 
@@ -327,31 +265,34 @@ impl DemandCore {
 
     /// Is there a non-empty path `from → to` in the full derived
     /// relation? Settles every anchor the answer could depend on first.
-    pub fn reaches(&mut self, graph: &SyncGraph, from: NodeId, to: NodeId) -> bool {
+    pub fn reaches(&mut self, base: &HbBase<'_>, from: NodeId, to: NodeId) -> bool {
+        let graph = &base.graph;
         self.stats.queries += 1;
-        self.settle(graph, to);
+        self.settle(base, to);
         from != to && self.cone_contains(graph, to, from)
     }
 
     /// Event-level order: `end(e1) ≺ begin(e2)` in the full relation.
-    pub fn event_before(&mut self, graph: &SyncGraph, e1: u32, e2: u32) -> bool {
+    pub fn event_before(&mut self, base: &HbBase<'_>, e1: u32, e2: u32) -> bool {
+        let graph = &base.graph;
         if e1 == e2 {
             return false;
         }
-        let from = graph.end(self.table.events[e1 as usize]);
-        let to = graph.begin(self.table.events[e2 as usize]);
-        self.reaches(graph, from, to)
+        let from = graph.end(base.table.events[e1 as usize]);
+        let to = graph.begin(base.table.events[e2 as usize]);
+        self.reaches(base, from, to)
     }
 
     /// A causal path `from → to` over base plus derived edges, as
     /// `(source, kind, target)` steps. `None` when not reachable.
     pub fn find_path(
         &mut self,
-        graph: &SyncGraph,
+        base: &HbBase<'_>,
         from: NodeId,
         to: NodeId,
     ) -> Option<Vec<(NodeId, EdgeKind, NodeId)>> {
-        if !self.reaches(graph, from, to) {
+        let graph = &base.graph;
+        if !self.reaches(base, from, to) {
             return None;
         }
         self.path_over(graph, from, to)
@@ -406,7 +347,8 @@ impl DemandCore {
     /// round semantics of the naive reference loop, so passes
     /// converge in closure depth, not in fired-edge count, and cone
     /// memos survive a whole pass instead of thrashing per edge.
-    fn settle(&mut self, graph: &SyncGraph, root: NodeId) {
+    fn settle(&mut self, base: &HbBase<'_>, root: NodeId) {
+        let graph = &base.graph;
         if self.settled_roots.contains(&root) {
             return;
         }
@@ -421,9 +363,9 @@ impl DemandCore {
                 if self.settled[j as usize] {
                     continue;
                 }
-                self.settle_anchor(graph, j, &mut work);
+                self.settle_anchor(base, j, &mut work);
             }
-            if !self.apply_pending(graph) {
+            if !self.apply_pending(base) {
                 self.settled_roots.insert(root);
                 return;
             }
@@ -458,11 +400,12 @@ impl DemandCore {
     /// anchor settled; if its conclusions land, the apply-time
     /// invalidation sweep un-settles whatever they affect (including
     /// `j` itself, whose next evaluation then finds them implied).
-    fn settle_anchor(&mut self, graph: &SyncGraph, j: u32, work: &mut Vec<u32>) {
+    fn settle_anchor(&mut self, base: &HbBase<'_>, j: u32, work: &mut Vec<u32>) {
+        let graph = &base.graph;
         self.settled[j as usize] = true;
-        let ev = self.table.events[j as usize];
+        let ev = base.table.events[j as usize];
         let begin_j = graph.begin(ev);
-        let queue_j = self.table.queue_of[j as usize];
+        let queue_j = base.table.queue_of[j as usize];
 
         // Suppression set: the strict cone of begin(e_j) at pass start.
         self.next_sup_epoch();
@@ -479,9 +422,9 @@ impl DemandCore {
             self.enqueue_unsettled(&cone, work);
             for &n in &cone {
                 let i1 = self.begin_event_of[n as usize];
-                if i1 != u32::MAX && i1 != j && self.table.queue_of[i1 as usize] == queue_j {
+                if i1 != u32::MAX && i1 != j && base.table.queue_of[i1 as usize] == queue_j {
                     self.stats.premises += 1;
-                    let src = graph.end(self.table.events[i1 as usize]);
+                    let src = graph.end(base.table.events[i1 as usize]);
                     self.propose_edge(j, begin_j, src, EdgeKind::Atomicity);
                 }
             }
@@ -494,7 +437,7 @@ impl DemandCore {
         let Some(sj) = self.send_of_event[j as usize] else {
             return;
         };
-        let s2 = self.sends[sj as usize];
+        let s2 = base.sends[sj as usize];
 
         // Rules 1/3 (anchor posted without sendAtFront): earlier sends
         // to the same queue whose site reaches this send's site, with a
@@ -509,7 +452,7 @@ impl DemandCore {
                 if i == u32::MAX || i == sj {
                     continue;
                 }
-                let s1 = self.sends[i as usize];
+                let s1 = base.sends[i as usize];
                 if s1.queue != s2.queue {
                     continue;
                 }
@@ -540,7 +483,7 @@ impl DemandCore {
             if fj == sj {
                 continue;
             }
-            let s2f = self.sends[fj as usize];
+            let s2f = base.sends[fj as usize];
             self.stats.premises += 1;
             // Premise (b): s2's send site strictly reaches begin(e1) —
             // exactly membership in the suppression cone.
@@ -577,14 +520,14 @@ impl DemandCore {
     /// already-materialized edges and edges that would close a cycle,
     /// then invalidates everything the new edges can affect. Returns
     /// whether the pass fired.
-    fn apply_pending(&mut self, graph: &SyncGraph) -> bool {
+    fn apply_pending(&mut self, base: &HbBase<'_>) -> bool {
         let mut seeds: Vec<NodeId> = Vec::new();
         while let Some((j, begin_j, src, kind)) = self.pending.pop() {
             if self.derived_in[j as usize].iter().any(|&(s, _)| s == src) {
                 self.stats.suppressed += 1;
                 continue;
             }
-            if self.closes_cycle(graph, j, begin_j, src) {
+            if self.closes_cycle(base, j, begin_j, src) {
                 continue;
             }
             self.derived_in[j as usize].push((src, kind));
@@ -598,19 +541,20 @@ impl DemandCore {
         if seeds.is_empty() {
             return false;
         }
-        self.invalidate_from(graph, &seeds);
+        self.invalidate_from(base, &seeds);
         true
     }
 
     /// Would `src → begin(e_j)` close a cycle in the materialized
     /// relation? `src` is the end of some event `e_i` of `e_j`'s looper.
     /// Records the first cycle found, naming its nodes.
-    fn closes_cycle(&mut self, graph: &SyncGraph, j: u32, begin_j: NodeId, src: NodeId) -> bool {
+    fn closes_cycle(&mut self, base: &HbBase<'_>, j: u32, begin_j: NodeId, src: NodeId) -> bool {
+        let graph = &base.graph;
         match &self.guard {
             CycleGuard::Forward(pos) => {
                 let i = self.end_event_of[src as usize];
                 if i != u32::MAX
-                    && self.table.queue_of[i as usize] == self.table.queue_of[j as usize]
+                    && base.table.queue_of[i as usize] == base.table.queue_of[j as usize]
                     && pos[i as usize] < pos[j as usize]
                 {
                     return false;
@@ -642,7 +586,8 @@ impl DemandCore {
     /// seeds its own begin into the sweep (its future conclusions land
     /// there), closing the dependency chain — so an untouched settled
     /// root really is final.
-    fn invalidate_from(&mut self, graph: &SyncGraph, seeds: &[NodeId]) {
+    fn invalidate_from(&mut self, base: &HbBase<'_>, seeds: &[NodeId]) {
+        let graph = &base.graph;
         if self.fwd_epoch == u32::MAX {
             self.fwd_mark.fill(0);
             self.fwd_epoch = 0;
@@ -657,7 +602,7 @@ impl DemandCore {
             }
         }
         while let Some(n) = self.fwd_stack.pop() {
-            self.visit_invalidated(graph, n);
+            self.visit_invalidated(base, n);
             for (t, _) in graph.succs(n) {
                 if self.fwd_mark[t as usize] != epoch {
                     self.fwd_mark[t as usize] = epoch;
@@ -687,7 +632,7 @@ impl DemandCore {
     /// Rules 1/3 read the cone of the anchor's own send site, and need
     /// no branch here: the site has a base `Send` edge to the anchor's
     /// begin, so a sweep that reaches the site reaches that begin too.
-    fn visit_invalidated(&mut self, graph: &SyncGraph, n: NodeId) {
+    fn visit_invalidated(&mut self, base: &HbBase<'_>, n: NodeId) {
         let begin_j = self.begin_event_of[n as usize];
         if begin_j != u32::MAX {
             // Suppression cone and rules-2/4 premise (b) read cone(begin).
@@ -696,17 +641,17 @@ impl DemandCore {
         let end_j = self.end_event_of[n as usize];
         if end_j != u32::MAX && self.settled[end_j as usize] {
             // Atomicity candidates come from cone(end).
-            self.unsettle(graph, end_j);
+            self.unsettle(base, end_j);
         }
         let si = self.send_of_node[n as usize];
-        if si != u32::MAX && self.sends[si as usize].front {
+        if si != u32::MAX && base.sends[si as usize].front {
             // Rules 2/4 premise (a) reads cone(front-send site) for
             // every anchor of the queue.
-            let queue = self.sends[si as usize].queue.index();
+            let queue = base.sends[si as usize].queue.index();
             for i in 0..self.events_of_queue.get(queue).map_or(0, Vec::len) {
                 let j = self.events_of_queue[queue][i];
                 if self.settled[j as usize] {
-                    self.unsettle(graph, j);
+                    self.unsettle(base, j);
                 }
             }
         }
@@ -714,9 +659,10 @@ impl DemandCore {
 
     /// Un-settles anchor `j` and extends the sweep from its begin node
     /// (where its future conclusions would land).
-    fn unsettle(&mut self, graph: &SyncGraph, j: u32) {
+    fn unsettle(&mut self, base: &HbBase<'_>, j: u32) {
+        let graph = &base.graph;
         self.settled[j as usize] = false;
-        let b = graph.begin(self.table.events[j as usize]);
+        let b = graph.begin(base.table.events[j as usize]);
         if self.fwd_mark[b as usize] != self.fwd_epoch {
             self.fwd_mark[b as usize] = self.fwd_epoch;
             self.fwd_stack.push(b);

@@ -14,14 +14,16 @@ use std::hash::BuildHasherDefault;
 use cafa_trace::{OpRef, TaskId, Trace};
 
 use crate::bitset::BitSet;
+use crate::config::CausalityConfig;
 
 /// Index of a node in a [`SyncGraph`].
 pub type NodeId = u32;
 
-/// Multiplicative hasher for the dense packed edge keys. Edge dedup is
-/// one hash-set insert per edge, so on million-edge graphs the default
-/// SipHash dominates construction time; edge keys are attacker-free
-/// internal indices and only ever hashed as a single `u64`.
+/// Multiplicative hasher for the dense packed edge keys of edges added
+/// after a build (the naive derivation's, the predictive model's): one
+/// hash-set insert per edge, where the default SipHash would dominate.
+/// Edge keys are attacker-free internal indices and only ever hashed as
+/// a single `u64`.
 #[derive(Default)]
 struct EdgeHasher(u64);
 
@@ -97,6 +99,80 @@ pub enum EdgeKind {
     Queue(u8),
 }
 
+/// A set of [`EdgeKind`]s: the kinds a base graph holds, or the base
+/// kinds a config's relation reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct EdgeKinds(u16);
+
+impl EdgeKinds {
+    /// Program order alone: a graph's nodes and chains.
+    pub(crate) const PROGRAM: Self = Self(1);
+
+    /// The base kinds every config reads.
+    const ALWAYS: Self = Self::PROGRAM
+        .with(EdgeKind::Fork)
+        .with(EdgeKind::Join)
+        .with(EdgeKind::NotifyWait)
+        .with(EdgeKind::Send)
+        .with(EdgeKind::Rpc);
+
+    /// CAFA's base kinds, which the shared base of a trace holds.
+    pub(crate) const SHARED: Self = Self::of(&CausalityConfig::cafa());
+
+    const fn bit(kind: EdgeKind) -> u16 {
+        1 << match kind {
+            EdgeKind::Program => 0,
+            EdgeKind::Fork => 1,
+            EdgeKind::Join => 2,
+            EdgeKind::NotifyWait => 3,
+            EdgeKind::Send => 4,
+            EdgeKind::Register => 5,
+            EdgeKind::Rpc => 6,
+            EdgeKind::External => 7,
+            EdgeKind::TotalOrder => 8,
+            EdgeKind::LockOrder => 9,
+            EdgeKind::Atomicity | EdgeKind::Queue(_) => 10,
+        }
+    }
+
+    const fn with(self, kind: EdgeKind) -> Self {
+        Self(self.0 | Self::bit(kind))
+    }
+
+    /// The set without `kind`.
+    pub(crate) const fn without(self, kind: EdgeKind) -> Self {
+        Self(self.0 & !Self::bit(kind))
+    }
+
+    /// Whether `kind` is in the set.
+    pub(crate) const fn contains(self, kind: EdgeKind) -> bool {
+        self.0 & Self::bit(kind) != 0
+    }
+
+    /// Whether every kind of `other` is in the set.
+    pub(crate) const fn includes(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// The base kinds of `config`'s relation.
+    pub(crate) const fn of(config: &CausalityConfig) -> Self {
+        let mut kinds = Self::ALWAYS;
+        if config.listener_rule {
+            kinds = kinds.with(EdgeKind::Register);
+        }
+        if config.external_rule {
+            kinds = kinds.with(EdgeKind::External);
+        }
+        if config.total_event_order {
+            kinds = kinds.with(EdgeKind::TotalOrder);
+        }
+        if config.lock_hb {
+            kinds = kinds.with(EdgeKind::LockOrder);
+        }
+        kinds
+    }
+}
+
 /// Compressed-sparse-row adjacency over a frozen prefix of the edge
 /// log. Million-node graphs cannot afford one heap block per node: on
 /// the fleet-scale tiers the per-node `Vec` representation cost more in
@@ -108,16 +184,21 @@ struct CsrAdj {
     succ: Vec<(NodeId, EdgeKind)>,
     pred_off: Vec<u32>,
     pred: Vec<NodeId>,
+    /// The kind of each `pred` entry, apart so that cone walks, which
+    /// ignore kinds, read dense node ids.
+    pred_kind: Vec<EdgeKind>,
 }
 
 /// The operation-level happens-before graph of one trace.
+///
+/// A task's nodes are contiguous: `begin(t)`, its sync records in body
+/// order, then `end(t)`. Record lookups binary-search that range.
 #[derive(Clone, Debug)]
 pub struct SyncGraph {
     nodes: Vec<NodeInfo>,
-    /// Per task: `(record_index, node)` pairs sorted by index.
-    record_nodes: Vec<Vec<(u32, NodeId)>>,
-    begin_nodes: Vec<NodeId>,
-    end_nodes: Vec<NodeId>,
+    /// `task_start[t]` is `begin(t)`, and `task_start[t + 1] - 1` is
+    /// `end(t)`; one entry more than there are tasks once sealed.
+    task_start: Vec<NodeId>,
     /// Flat adjacency for every edge logged before the last
     /// [`compact`](SyncGraph::compact); `None` while a batch
     /// construction is still appending (deferred mode — the log is the
@@ -128,10 +209,12 @@ pub struct SyncGraph {
     /// (`over_pred`) node.
     over_succ: HashMap<NodeId, Vec<(NodeId, EdgeKind)>>,
     over_pred: HashMap<NodeId, Vec<NodeId>>,
+    /// Dedup set for [`add_edge`](SyncGraph::add_edge). The build needs
+    /// none (see [`push_cross`](SyncGraph::push_cross)), so the set
+    /// stays empty until the first edge is added after it, which
+    /// indexes the whole log.
     edge_set: HashSet<u64, BuildHasherDefault<EdgeHasher>>,
-    edge_kind_counts: Vec<(EdgeKind, usize)>,
-    /// Chronological log of every edge ever added (the dedup in
-    /// [`SyncGraph::add_edge`] guarantees each appears once).
+    /// Chronological log of every edge ever added, each once.
     edge_log: Vec<(NodeId, NodeId, EdgeKind)>,
 }
 
@@ -139,66 +222,86 @@ impl SyncGraph {
     /// Builds the node set and program-order chains for `trace`. No
     /// cross-task edges are added; see `cafa_hb::build` for those.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut g = Self::from_trace_deferred(trace);
-        g.compact();
-        g
+        crate::build::sweep(trace, EdgeKinds::PROGRAM).0
     }
 
-    /// [`from_trace`](SyncGraph::from_trace) without the final
-    /// compaction — for batch callers (`cafa_hb::build`) that append
-    /// cross-task edges next and compact once at the end.
-    pub(crate) fn from_trace_deferred(trace: &Trace) -> Self {
-        let task_count = trace.task_count();
-        let mut g = SyncGraph {
-            nodes: Vec::new(),
-            record_nodes: vec![Vec::new(); task_count],
-            begin_nodes: Vec::with_capacity(task_count),
-            end_nodes: Vec::with_capacity(task_count),
+    /// An empty graph for a batch construction of `tasks` tasks, which
+    /// opens and closes each task in id order, logs its cross edges
+    /// with [`push_cross`](SyncGraph::push_cross) and ends with one
+    /// [`compact`](SyncGraph::compact).
+    pub(crate) fn deferred(tasks: usize) -> Self {
+        SyncGraph {
+            nodes: Vec::with_capacity(2 * tasks),
+            task_start: Vec::with_capacity(tasks + 1),
             csr: None,
             over_succ: HashMap::new(),
             over_pred: HashMap::new(),
             edge_set: HashSet::default(),
-            edge_kind_counts: Vec::new(),
-            edge_log: Vec::new(),
-        };
-        for info in trace.tasks() {
-            let task = info.id;
-            let begin = g.push_node(NodeInfo {
-                task,
-                point: NodePoint::Begin,
-            });
-            g.begin_nodes.push(begin);
-            let mut prev = begin;
-            for (i, r) in trace.body(task).iter().enumerate() {
-                if r.is_sync() {
-                    let n = g.push_node(NodeInfo {
-                        task,
-                        point: NodePoint::Record(i as u32),
-                    });
-                    g.record_nodes[task.index()].push((i as u32, n));
-                    g.add_edge(prev, n, EdgeKind::Program);
-                    prev = n;
-                }
-            }
-            let end = g.push_node(NodeInfo {
-                task,
-                point: NodePoint::End,
-            });
-            g.end_nodes.push(end);
-            g.add_edge(prev, end, EdgeKind::Program);
+            edge_log: Vec::with_capacity(2 * tasks),
         }
-        g
     }
 
-    fn push_node(&mut self, info: NodeInfo) -> NodeId {
+    /// Appends `begin(task)`, opening the task's node range.
+    pub(crate) fn open_task(&mut self, task: TaskId) {
+        self.task_start.push(self.nodes.len() as NodeId);
+        self.nodes.push(NodeInfo {
+            task,
+            point: NodePoint::Begin,
+        });
+    }
+
+    /// Appends the node of the sync record at `index` of the open task,
+    /// with the program edge from the node before it.
+    pub(crate) fn push_record(&mut self, task: TaskId, index: u32) -> NodeId {
+        self.push_chained(NodeInfo {
+            task,
+            point: NodePoint::Record(index),
+        })
+    }
+
+    /// Appends `end(task)`, closing the task's node range.
+    pub(crate) fn close_task(&mut self, task: TaskId) {
+        self.push_chained(NodeInfo {
+            task,
+            point: NodePoint::End,
+        });
+    }
+
+    /// Ends the node sweep once every task is closed: `end` and the
+    /// record lookups answer from here on.
+    pub(crate) fn seal_nodes(&mut self) {
+        self.task_start.push(self.nodes.len() as NodeId);
+    }
+
+    fn push_chained(&mut self, info: NodeInfo) -> NodeId {
         let id = self.nodes.len() as NodeId;
         self.nodes.push(info);
+        self.edge_log.push((id - 1, id, EdgeKind::Program));
         id
+    }
+
+    /// Logs a cross edge of a batch construction, after every task is
+    /// closed. A self-loop, or an edge from a node to the next node of
+    /// its task, which is that node's program edge, is dropped: on a
+    /// validated trace no other build edge can repeat, since each
+    /// record is paired once per rule and each event is listed once.
+    pub(crate) fn push_cross(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
+        let program = to == from + 1 && self.node(from).task == self.node(to).task;
+        if from != to && !program {
+            self.edge_log.push((from, to, kind));
+        }
     }
 
     /// Adds an edge if absent; returns true if newly added.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) -> bool {
-        if from == to || !self.edge_set.insert(edge_key(from, to)) {
+        if from == to {
+            return false;
+        }
+        if self.edge_set.is_empty() {
+            self.edge_set
+                .extend(self.edge_log.iter().map(|&(f, t, _)| edge_key(f, t)));
+        }
+        if !self.edge_set.insert(edge_key(from, to)) {
             return false;
         }
         if self.csr.is_some() {
@@ -206,10 +309,6 @@ impl SyncGraph {
             self.over_pred.entry(to).or_default().push(from);
         }
         self.edge_log.push((from, to, kind));
-        match self.edge_kind_counts.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, n)) => *n += 1,
-            None => self.edge_kind_counts.push((kind, 1)),
-        }
         true
     }
 
@@ -231,6 +330,7 @@ impl SyncGraph {
         }
         let mut succ = vec![(0 as NodeId, EdgeKind::Program); m];
         let mut pred = vec![0 as NodeId; m];
+        let mut pred_kind = vec![EdgeKind::Program; m];
         let mut succ_cur = succ_off.clone();
         let mut pred_cur = pred_off.clone();
         for &(from, to, kind) in &self.edge_log {
@@ -239,6 +339,7 @@ impl SyncGraph {
             *s += 1;
             let p = &mut pred_cur[to as usize];
             pred[*p as usize] = from;
+            pred_kind[*p as usize] = kind;
             *p += 1;
         }
         self.csr = Some(CsrAdj {
@@ -246,35 +347,53 @@ impl SyncGraph {
             succ,
             pred_off,
             pred,
+            pred_kind,
         });
         self.over_succ.clear();
         self.over_pred.clear();
     }
 
+    fn csr(&self) -> &CsrAdj {
+        match &self.csr {
+            Some(c) => c,
+            None => panic!("adjacency queried on a deferred graph (missing compact())"),
+        }
+    }
+
     /// The compacted successor slice of `n`.
     pub(crate) fn csr_succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
-        let Some(c) = &self.csr else {
-            panic!("adjacency queried on a deferred graph (missing compact())");
-        };
+        let c = self.csr();
         let i = n as usize;
         &c.succ[c.succ_off[i] as usize..c.succ_off[i + 1] as usize]
     }
 
     /// The compacted predecessor slice of `n`.
     pub(crate) fn csr_preds(&self, n: NodeId) -> &[NodeId] {
-        let Some(c) = &self.csr else {
-            panic!("adjacency queried on a deferred graph (missing compact())");
-        };
+        let c = self.csr();
         let i = n as usize;
         &c.pred[c.pred_off[i] as usize..c.pred_off[i + 1] as usize]
     }
 
+    /// Every compacted edge as `(target, kind)`, grouped by source.
+    pub(crate) fn csr_all_succs(&self) -> &[(NodeId, EdgeKind)] {
+        &self.csr().succ
+    }
+
+    /// The kinds of [`csr_preds`](SyncGraph::csr_preds)`(n)`, entry for
+    /// entry.
+    pub(crate) fn csr_pred_kinds(&self, n: NodeId) -> &[EdgeKind] {
+        let c = self.csr();
+        let i = n as usize;
+        &c.pred_kind[c.pred_off[i] as usize..c.pred_off[i + 1] as usize]
+    }
+
     /// Per-node in-degree, read off the compacted CSR offsets.
     pub(crate) fn in_degrees(&self) -> Vec<u32> {
-        let Some(c) = &self.csr else {
-            panic!("adjacency queried on a deferred graph (missing compact())");
-        };
-        c.pred_off.windows(2).map(|w| w[1] - w[0]).collect()
+        self.csr()
+            .pred_off
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect()
     }
 
     /// The chronological edge log: every edge of the graph, in the
@@ -292,12 +411,20 @@ impl SyncGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_set.len()
+        self.edge_log.len()
     }
 
-    /// Per-kind edge counts, for derivation statistics.
-    pub fn edge_kind_counts(&self) -> &[(EdgeKind, usize)] {
-        &self.edge_kind_counts
+    /// Per-kind edge counts, in order of each kind's first edge, counted
+    /// from the log.
+    pub fn edge_kind_counts(&self) -> Vec<(EdgeKind, usize)> {
+        let mut counts: Vec<(EdgeKind, usize)> = Vec::new();
+        for &(_, _, kind) in &self.edge_log {
+            match counts.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((kind, 1)),
+            }
+        }
+        counts
     }
 
     /// Metadata of node `n`.
@@ -307,21 +434,29 @@ impl SyncGraph {
 
     /// The `begin(t)` node.
     pub fn begin(&self, task: TaskId) -> NodeId {
-        self.begin_nodes[task.index()]
+        self.task_start[task.index()]
     }
 
     /// The `end(t)` node.
     pub fn end(&self, task: TaskId) -> NodeId {
-        self.end_nodes[task.index()]
+        self.task_start[task.index() + 1] - 1
+    }
+
+    /// Where the record at `at` falls among its task's nodes: the first
+    /// node of the task, and the result of binary-searching the task's
+    /// node range for the record.
+    fn search(&self, at: OpRef) -> (NodeId, Result<NodeId, NodeId>) {
+        let (begin, end) = (self.begin(at.task), self.end(at.task));
+        let range = &self.nodes[begin as usize..=end as usize];
+        let found = range.binary_search_by(|n| n.point.cmp(&NodePoint::Record(at.index)));
+        (begin, found.map(|i| i as NodeId).map_err(|i| i as NodeId))
     }
 
     /// The node of the sync record at `at`, or `None` if the record
     /// there is not a sync record.
     pub fn node_of(&self, at: OpRef) -> Option<NodeId> {
-        let list = &self.record_nodes[at.task.index()];
-        list.binary_search_by_key(&at.index, |&(i, _)| i)
-            .ok()
-            .map(|pos| list[pos].1)
+        let (begin, found) = self.search(at);
+        found.ok().map(|i| begin + i)
     }
 
     /// The earliest sync node that happens-at-or-after the record at
@@ -330,11 +465,10 @@ impl SyncGraph {
     ///
     /// Everything reachable from this node happens after `at`.
     pub fn bracket_after(&self, at: OpRef) -> NodeId {
-        let list = &self.record_nodes[at.task.index()];
-        match list.binary_search_by_key(&at.index, |&(i, _)| i) {
-            Ok(pos) => list[pos].1,
-            Err(pos) => list.get(pos).map_or(self.end(at.task), |&(_, n)| n),
-        }
+        // `Begin` sorts before every record and `End` after, so a miss
+        // lands strictly inside the range.
+        let (begin, Ok(i) | Err(i)) = self.search(at);
+        begin + i
     }
 
     /// The latest sync node that happens-at-or-before the record at
@@ -343,11 +477,9 @@ impl SyncGraph {
     ///
     /// Everything that reaches this node happens before `at`.
     pub fn bracket_before(&self, at: OpRef) -> NodeId {
-        let list = &self.record_nodes[at.task.index()];
-        match list.binary_search_by_key(&at.index, |&(i, _)| i) {
-            Ok(pos) => list[pos].1,
-            Err(0) => self.begin(at.task),
-            Err(pos) => list[pos - 1].1,
+        match self.search(at) {
+            (begin, Ok(i)) => begin + i,
+            (begin, Err(i)) => begin + i - 1,
         }
     }
 
@@ -506,6 +638,30 @@ mod tests {
         assert_eq!(g.bracket_before(OpRef::new(main, 3)), join_node);
         // Past the last sync record.
         assert_eq!(g.bracket_after(OpRef::new(main, 4)), g.end(main));
+    }
+
+    #[test]
+    fn lookups_on_a_task_without_sync_records_and_at_the_last_record() {
+        let (t, main, child) = two_task_trace();
+        let g = SyncGraph::from_trace(&t);
+        // The child holds one data record and no sync record.
+        let only = OpRef::new(child, 0);
+        assert_eq!(g.node_of(only), None);
+        assert_eq!(g.bracket_after(only), g.end(child));
+        assert_eq!(g.bracket_before(only), g.begin(child));
+        assert_eq!(g.end(child), g.begin(child) + 1);
+        // The join is main's last record: its own node, just before end.
+        let join = OpRef::new(main, 3);
+        let join_node = g.node_of(join).expect("join is a sync record");
+        assert_eq!(join_node + 1, g.end(main));
+        assert_eq!(g.bracket_after(join), join_node);
+        assert_eq!(g.bracket_before(join), join_node);
+        assert_eq!(g.node(join_node).point, NodePoint::Record(3));
+        // Past it, everything brackets to the join and the end.
+        let past = OpRef::new(main, 9);
+        assert_eq!(g.node_of(past), None);
+        assert_eq!(g.bracket_before(past), join_node);
+        assert_eq!(g.bracket_after(past), g.end(main));
     }
 
     #[test]

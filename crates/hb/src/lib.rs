@@ -64,11 +64,12 @@ pub mod dot;
 mod error;
 mod graph;
 mod locks;
+mod looper;
 mod model;
 pub mod oracle;
 mod rules;
 
-pub use build::base_graph;
+pub use build::{base_graph, HbBase};
 pub use config::CausalityConfig;
 pub use demand::DemandStats;
 pub use error::HbError;

@@ -1,16 +1,15 @@
 //! The [`HbModel`] facade: build once per trace, query happens-before.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cafa_trace::{OpRef, TaskId, Trace};
 
-use crate::build::{base_graph, base_graph_with_sends};
+use crate::build::{base_graph, HbBase};
 use crate::clocks::Clocks;
 use crate::config::CausalityConfig;
 use crate::demand::{DemandCore, DemandStats};
 use crate::error::HbError;
 use crate::graph::{NodeId, SyncGraph};
-use crate::rules::EventTable;
 
 /// Relative order of two operations under a causality model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,11 +38,11 @@ pub struct CauseStep {
 
 /// A happens-before model of one trace under one [`CausalityConfig`].
 ///
-/// Building a model constructs the sync graph and installs the base
-/// causal edges. A config with the atomicity or queue rules of §3.3 is
-/// answered by the demand engine, which settles the rules per query;
-/// a config with neither is answered by vector clocks over the base
-/// edges, a position compare or a binary search per query.
+/// A model reads a base ([`HbBase`]): the trace's sync graph with its
+/// base causal edges. A config with the atomicity or queue rules of
+/// §3.3 is answered by the demand engine, which settles the rules per
+/// query; a config with neither is answered by vector clocks over its
+/// base edges, a position compare or a binary search per query.
 ///
 /// # Examples
 ///
@@ -70,15 +69,13 @@ pub struct CauseStep {
 /// ```
 #[derive(Debug)]
 pub struct HbModel<'t> {
-    trace: &'t Trace,
     config: CausalityConfig,
-    graph: SyncGraph,
-    table: EventTable,
+    base: Arc<HbBase<'t>>,
     backend: Backend,
 }
 
-/// How a model answers queries. The graph holds only base edges either
-/// way.
+/// How a model answers queries. The base graph holds only base edges
+/// either way.
 #[derive(Debug)]
 enum Backend {
     /// Rules evaluated lazily per query (see `demand.rs`). The mutex
@@ -87,8 +84,9 @@ enum Backend {
     /// fixpoint, so results do not depend on thread count or
     /// interleaving.
     Demand(Box<Mutex<DemandCore>>),
-    /// No rules to derive: the graph holds the whole relation and
-    /// vector clocks answer it (see `clocks.rs`).
+    /// No rules to derive: the config's base edges plus, under
+    /// `total_event_order`, each looper's order are the whole relation,
+    /// and vector clocks answer it (see `clocks.rs`).
     Clocks(Clocks),
 }
 
@@ -102,12 +100,12 @@ impl Backend {
 }
 
 impl<'t> HbModel<'t> {
-    /// Builds the model for `trace` under `config`: vector clocks when
-    /// the config has neither the atomicity nor the queue rules (the
-    /// conventional baseline, the FastTrack-style ablation, CAFA's bare
-    /// base edges), since its relation is reachability over the base
-    /// edges and one forward sweep answers it exactly; the demand
-    /// engine otherwise.
+    /// Builds the model for `trace` under `config` on a base of its own:
+    /// vector clocks when the config has neither the atomicity nor the
+    /// queue rules (the conventional baseline, the FastTrack-style
+    /// ablation, CAFA's bare base edges), since its relation is
+    /// reachability over the base edges and one forward sweep answers
+    /// it exactly; the demand engine otherwise.
     ///
     /// A derived cycle surfaces through [`check`](HbModel::check), not
     /// here: the demand engine derives an edge only when a query needs
@@ -115,30 +113,40 @@ impl<'t> HbModel<'t> {
     ///
     /// # Errors
     ///
-    /// Returns [`HbError`] if the base edges are cyclic or an event
-    /// task has no queue.
+    /// Returns [`HbError`] if the base edges are cyclic, an event task
+    /// has no queue, or, under `total_event_order`, an event is not
+    /// listed once in its queue's processing order.
     pub fn build(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
-        let table = EventTable::new(trace)?;
-        if !config.atomicity_rule && !config.queue_rules {
-            let graph = base_graph(trace, &config);
-            let clocks = Clocks::build(&graph, trace, config.total_event_order)
-                .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
-            return Ok(Self {
-                trace,
-                config,
-                graph,
-                table,
-                backend: Backend::Clocks(clocks),
-            });
+        let base = HbBase::for_config(trace, &config)?;
+        Self::on(Arc::new(base), config)
+    }
+
+    /// Builds the model for `config` on `base`, shared with every other
+    /// model of the trace that reads it (see [`HbBase::serves`]). A
+    /// config the base cannot serve gets a base of its own, as from
+    /// [`build`](HbModel::build).
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](HbModel::build).
+    pub fn with_base(base: Arc<HbBase<'t>>, config: CausalityConfig) -> Result<Self, HbError> {
+        if base.serves(&config) {
+            Self::on(base, config)
+        } else {
+            Self::build(base.trace, config)
         }
-        let (graph, sends) = base_graph_with_sends(trace, &config);
-        let core = DemandCore::new(&graph, trace, table.clone(), config, sends)?;
+    }
+
+    fn on(base: Arc<HbBase<'t>>, config: CausalityConfig) -> Result<Self, HbError> {
+        let backend = if config.derives() {
+            Backend::Demand(Box::new(Mutex::new(DemandCore::new(&base, config)?)))
+        } else {
+            Backend::Clocks(Clocks::build(&base, &config)?)
+        };
         Ok(Self {
-            trace,
             config,
-            graph,
-            table,
-            backend: Backend::Demand(Box::new(Mutex::new(core))),
+            base,
+            backend,
         })
     }
 
@@ -166,7 +174,7 @@ impl<'t> HbModel<'t> {
 
     /// The analyzed trace.
     pub fn trace(&self) -> &'t Trace {
-        self.trace
+        self.base.trace
     }
 
     /// The configuration the model was built with.
@@ -174,14 +182,18 @@ impl<'t> HbModel<'t> {
         &self.config
     }
 
-    /// The underlying sync graph.
+    /// The base sync graph the model reads, shared with every other
+    /// model built on the same [`HbBase`]. It holds base edges only: the
+    /// demand engine keeps its derived edges apart, and a rule-free
+    /// model reads only its config's edge kinds of it, plus each
+    /// looper's processing order under `total_event_order`.
     pub fn graph(&self) -> &SyncGraph {
-        &self.graph
+        &self.base.graph
     }
 
     /// The event tasks in dense order.
     pub fn events(&self) -> &[TaskId] {
-        &self.table.events
+        &self.base.table.events
     }
 
     /// True when `end(e1) ≺ begin(e2)`: every operation of event `e1`
@@ -191,16 +203,15 @@ impl<'t> HbModel<'t> {
     ///
     /// Panics if either task is not an event.
     pub fn event_before(&self, e1: TaskId, e2: TaskId) -> bool {
-        let i1 = self.table.dense(e1).expect("e1 must be an event");
-        let i2 = self.table.dense(e2).expect("e2 must be an event");
+        let i1 = self.base.table.dense(e1).expect("e1 must be an event");
+        let i2 = self.base.table.dense(e2).expect("e2 must be an event");
+        let graph = &self.base.graph;
         match &self.backend {
             Backend::Demand(_) => {
                 let mut core = self.backend.demand().expect("demand backend");
-                core.event_before(&self.graph, i1, i2)
+                core.event_before(&self.base, i1, i2)
             }
-            Backend::Clocks(clocks) => {
-                clocks.reaches(&self.graph, self.graph.end(e1), self.graph.begin(e2))
-            }
+            Backend::Clocks(clocks) => clocks.reaches(graph, graph.end(e1), graph.begin(e2)),
         }
     }
 
@@ -212,7 +223,8 @@ impl<'t> HbModel<'t> {
 
     /// True when both tasks are events processed by the same looper.
     pub fn same_looper(&self, t1: TaskId, t2: TaskId) -> bool {
-        match (self.trace.task(t1).queue(), self.trace.task(t2).queue()) {
+        let trace = self.base.trace;
+        match (trace.task(t1).queue(), trace.task(t2).queue()) {
             (Some(q1), Some(q2)) => q1 == q2,
             _ => false,
         }
@@ -225,7 +237,8 @@ impl<'t> HbModel<'t> {
         if a.task == b.task {
             return a.index < b.index;
         }
-        self.reaches(self.graph.bracket_after(a), self.graph.bracket_before(b))
+        let graph = &self.base.graph;
+        self.reaches(graph.bracket_after(a), graph.bracket_before(b))
     }
 
     /// Is there a non-empty path `from → to` between two sync nodes of
@@ -233,10 +246,10 @@ impl<'t> HbModel<'t> {
     /// orders included? Irreflexive.
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         match &self.backend {
-            Backend::Clocks(clocks) => clocks.reaches(&self.graph, from, to),
+            Backend::Clocks(clocks) => clocks.reaches(&self.base.graph, from, to),
             Backend::Demand(_) => {
                 let mut core = self.backend.demand().expect("demand backend");
-                core.reaches(&self.graph, from, to)
+                core.reaches(&self.base, from, to)
             }
         }
     }
@@ -294,20 +307,24 @@ impl<'t> HbModel<'t> {
                 },
             }]);
         }
-        let from = self.graph.bracket_after(a);
-        let to = self.graph.bracket_before(b);
-        // The demand backend's derived edges are not in the graph;
-        // its path finder walks base and derived adjacency together.
+        let graph = &self.base.graph;
+        let from = graph.bracket_after(a);
+        let to = graph.bracket_before(b);
+        // The demand backend's derived edges are not in the graph; its
+        // path finder walks base and derived adjacency together. A
+        // rule-free model reads only some kinds of its base, and looper
+        // order implicitly, so its chain walks the config's own graph,
+        // built here: every graph of a trace numbers its nodes alike.
         let path = match self.backend.demand() {
-            Some(mut core) => core.find_path(&self.graph, from, to)?,
-            None => self.graph.find_path(from, to)?,
+            Some(mut core) => core.find_path(&self.base, from, to)?,
+            None => base_graph(self.base.trace, &self.config).find_path(from, to)?,
         };
         Some(
             path.into_iter()
                 .map(|(f, kind, t)| CauseStep {
-                    from: self.graph.node(f),
+                    from: graph.node(f),
                     kind,
-                    to: self.graph.node(t),
+                    to: graph.node(t),
                 })
                 .collect(),
         )

@@ -380,14 +380,24 @@ mod tests {
     use crate::model::HbModel;
     use cafa_trace::{Trace, TraceBuilder, VarId};
 
-    /// Asserts oracle answers equal DFS answers for every node pair.
+    /// Asserts oracle answers equal DFS answers for every node pair:
+    /// one DFS per source collects every node it reaches by a non-empty
+    /// path, and each pair is checked against that set.
     fn assert_matches_dfs(graph: &SyncGraph, oracle: &ReachOracle) {
-        let mut scratch = BitSet::new(graph.node_count());
         for u in 0..graph.node_count() as NodeId {
+            let mut reached = BitSet::new(graph.node_count());
+            let mut stack = vec![u];
+            while let Some(n) = stack.pop() {
+                for (s, _) in graph.succs(n) {
+                    if reached.insert(s as usize) {
+                        stack.push(s);
+                    }
+                }
+            }
             for w in 0..graph.node_count() as NodeId {
                 assert_eq!(
                     oracle.reaches(u, w),
-                    graph.reaches(u, w, &mut scratch),
+                    reached.contains(w as usize),
                     "{u} -> {w} diverged"
                 );
             }

@@ -2,8 +2,11 @@
 //! derivation statistics, edge-kind accounting, locksets across tasks,
 //! and the event table.
 
+use std::sync::Arc;
+
 use cafa_hb::{
-    base_graph, derive_naive, CausalityConfig, EdgeKind, EventTable, HbModel, LockSets, OpOrder,
+    base_graph, derive_naive, CausalityConfig, EdgeKind, EventTable, HbBase, HbModel, LockSets,
+    OpOrder,
 };
 use cafa_trace::{MonitorId, ObjId, OpRef, Pc, TraceBuilder, VarId};
 
@@ -156,4 +159,59 @@ fn same_task_explain_is_program_order() {
     assert_eq!(chain.len(), 1);
     assert_eq!(chain[0].kind, EdgeKind::Program);
     assert!(model.explain(OpRef::new(t, 0), OpRef::new(t, 0)).is_none());
+}
+
+/// Two loopers, each processing two events, plus an external event on
+/// each: the shapes the conventional explain chains are checked on.
+fn two_loopers() -> (cafa_trace::Trace, [OpRef; 4]) {
+    let mut b = TraceBuilder::new("loopers");
+    let p = b.add_process();
+    let q1 = b.add_queue(p);
+    let q2 = b.add_queue(p);
+    let s1 = b.add_thread(p, "s1");
+    let s2 = b.add_thread(p, "s2");
+    // Posted by two threads: only the looper orders them.
+    let first = b.post(s1, q1, "first", 0);
+    let second = b.post(s2, q1, "second", 0);
+    b.process_event(first);
+    let in_first = b.write(first, VarId::new(0));
+    b.process_event(second);
+    let in_second = b.write(second, VarId::new(0));
+    // Consecutive externals on different loopers: only the
+    // external-input rule orders them.
+    let tap = b.external(q1, "tap");
+    let key = b.external(q2, "key");
+    b.process_event(tap);
+    let in_tap = b.write(tap, VarId::new(1));
+    b.process_event(key);
+    let in_key = b.write(key, VarId::new(1));
+    (b.finish().unwrap(), [in_first, in_second, in_tap, in_key])
+}
+
+#[test]
+fn conventional_explain_names_looper_order_and_no_external_edge() {
+    let (trace, [in_first, in_second, in_tap, in_key]) = two_loopers();
+    let shared = Arc::new(HbBase::shared(&trace).unwrap());
+    let models = [
+        HbModel::with_base(shared, CausalityConfig::conventional()).unwrap(),
+        HbModel::build(&trace, CausalityConfig::conventional()).unwrap(),
+    ];
+    for model in &models {
+        // One looper: ordered by its processing order alone.
+        let chain = model
+            .explain(in_first, in_second)
+            .expect("the looper orders its events");
+        assert!(
+            chain.iter().any(|s| s.kind == EdgeKind::TotalOrder),
+            "the chain names the looper order: {chain:?}"
+        );
+        // Externals on different loopers: unordered without the
+        // external-input rule, whatever edges the base holds.
+        assert_eq!(model.order(in_tap, in_key), OpOrder::Concurrent);
+        assert!(model.explain(in_tap, in_key).is_none());
+    }
+    // CAFA orders the externals through that rule instead.
+    let cafa = HbModel::build(&trace, CausalityConfig::cafa()).unwrap();
+    let chain = cafa.explain(in_tap, in_key).expect("external-input rule");
+    assert!(chain.iter().any(|s| s.kind == EdgeKind::External));
 }
