@@ -4,13 +4,13 @@
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
-root="$(pwd)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# CI must not write bench files into the checkout: bench binaries that
-# write BENCH_*.json run from $tmpdir, and the final gate compares
-# checksums (a new or rewritten file fails it).
+# CI must not write bench files into the checkout: the only bench
+# record is BENCH_scale.json, which the scale sweep below leaves alone
+# in --quick mode, and the final gate compares checksums (a new or
+# rewritten file fails it).
 bench_sums() { sha256sum BENCH_*.json; }
 bench_sums > "$tmpdir/bench.sha256"
 
@@ -23,26 +23,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The workspace run includes every differential suite, each with fixed
+# seeds: cafa-hb's oracle_differential (oracle vs DFS),
+# demand_differential (lazy queries vs the naive reference) and
+# clocks_differential (clocks vs DFS); cafa-core's
+# partition_differential (islanded vs monolithic); cafa-predict's
+# predictive_differential (predictive ⊆ HB); and cafa-trace's
+# decode_equivalence (every binary decode path and chunking).
 echo "==> cargo test"
 cargo test --workspace -q
-
-echo "==> oracle-vs-DFS differential suite (fixed-seed proptest)"
-cargo test -p cafa-hb --test oracle_differential -q
-
-echo "==> demand engine differential suite (lazy queries vs naive reference)"
-cargo test -p cafa-hb --test demand_differential -q
-
-echo "==> vector-clock differential suite (clocks vs DFS, rule-free configs)"
-cargo test -p cafa-hb --test clocks_differential -q
-
-echo "==> partition differential suite (islanded vs monolithic, byte-identical)"
-cargo test -p cafa-core --test partition_differential -q
-
-echo "==> predictive differential suite (predictive ⊆ HB, byte-stable, hb section untouched)"
-cargo test -p cafa-predict --test predictive_differential -q
-
-echo "==> decode equivalence suite (read_binary vs from_binary_slice vs StreamDecoder chunkings)"
-cargo test -p cafa-trace --test decode_equivalence -q
 
 echo "==> scale sweep smoke (demand engine, 100k tier)"
 ./target/release/analysis_scaling --scale --quick > /dev/null
@@ -99,8 +88,21 @@ for threads in 1 2 8; do
 done
 rm -f /tmp/predict_counts.txt /tmp/predict_counts.t*.txt
 
-echo "==> predictive bench (extras/confirmed/FP/overhead, written to a temp dir)"
-(cd "$tmpdir" && "$root/target/release/analysis_scaling" --predict > /dev/null)
+echo "==> table1 --detector both vs pinned per-backend table (HB column, extra = 0)"
+./target/release/table1 --detector both > "$tmpdir/table1_both.txt"
+if ! cmp -s "$tmpdir/table1_both.txt" tests/golden/table1_both.txt; then
+    echo "FAIL: table1 --detector both differs from tests/golden/table1_both.txt" >&2
+    diff tests/golden/table1_both.txt "$tmpdir/table1_both.txt" >&2 || true
+    exit 1
+fi
+
+echo "==> race confirmation vs pinned table (directed vs random, 0 benign fired)"
+./target/release/confirm > "$tmpdir/confirm.txt"
+if ! cmp -s "$tmpdir/confirm.txt" tests/golden/confirm.txt; then
+    echo "FAIL: confirm output differs from tests/golden/confirm.txt" >&2
+    diff tests/golden/confirm.txt "$tmpdir/confirm.txt" >&2 || true
+    exit 1
+fi
 
 echo "==> streaming chunk invariance + thread determinism (all apps)"
 for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do

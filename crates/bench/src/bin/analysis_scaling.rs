@@ -1,22 +1,23 @@
-//! Regenerates the §6.4 analysis-time observation; with `--catalog`,
-//! the generated-corpus precision/recall +
-//! throughput sweep (`BENCH_catalog.json`); with `--serve`, the fleet
-//! ingest server throughput/eviction/restore sweep
-//! (`BENCH_serve.json`); with `--scale [--quick]`, the demand-engine
-//! fleet-island scaling sweep (`BENCH_scale.json`); with `--predict`,
-//! the predictive-vs-HB comparison with replay adjudication
-//! (`BENCH_predict.json`).
+//! Regenerates the §6.4 analysis-time observation; with
+//! `--scale [--quick]`, the demand-engine fleet-island thread-scaling
+//! sweep (`BENCH_scale.json`).
 fn main() {
-    if std::env::args().any(|a| a == "--catalog") {
-        cafa_bench::catalog::main();
-    } else if std::env::args().any(|a| a == "--serve") {
-        cafa_bench::serve::main();
-    } else if std::env::args().any(|a| a == "--scale") {
-        let quick = std::env::args().any(|a| a == "--quick");
-        cafa_bench::scale::main(quick);
-    } else if std::env::args().any(|a| a == "--predict") {
-        cafa_bench::predict::main();
-    } else {
-        cafa_bench::scaling::main();
+    let (mut scale, mut quick) = (false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--scale" => scale = true,
+            "--quick" => quick = true,
+            other => usage_error(&format!("unexpected argument `{other}`")),
+        }
     }
+    match (scale, quick) {
+        (false, false) => cafa_bench::scaling::main(),
+        (true, quick) => cafa_bench::scale::main(quick),
+        (false, true) => usage_error("`--quick` needs `--scale`"),
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg} (usage: analysis_scaling [--scale [--quick]])");
+    std::process::exit(1);
 }

@@ -14,8 +14,8 @@
 //!
 //! True races should confirm under both (directed in far fewer runs);
 //! false positives must never fire under either. The binary prints
-//! the comparison table and writes `BENCH_confirm.json` to the
-//! current directory.
+//! the comparison table; every count in it is deterministic, and
+//! `tests/golden/confirm.txt` pins it.
 
 use cafa_apps::all_apps;
 use cafa_apps::prober::confirm;
@@ -124,50 +124,11 @@ pub fn compute(budget: u64) -> Vec<ConfirmRow> {
     })
 }
 
-fn render_json(budget: u64, rows: &[ConfirmRow], t: &ConfirmRow) -> String {
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"budget\": {budget},\n"));
-    json.push_str("  \"apps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"harmful_confirmed\": {}, \"harmful_unconfirmed\": {}, \
-             \"benign_silent\": {}, \"benign_fired\": {}, \"directed_runs\": {}, \
-             \"directed_hits\": {}, \"random_runs\": {}, \"random_unconfirmed\": {}}}{}\n",
-            r.name,
-            r.harmful_confirmed,
-            r.harmful_unconfirmed,
-            r.benign_silent,
-            r.benign_fired,
-            r.directed_runs,
-            r.directed_hits,
-            r.random_runs,
-            r.random_unconfirmed,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"total\": {{\"harmful_confirmed\": {}, \"harmful_unconfirmed\": {}, \
-         \"benign_silent\": {}, \"benign_fired\": {}, \"directed_runs\": {}, \
-         \"directed_hits\": {}, \"random_runs\": {}, \"random_unconfirmed\": {}}}\n",
-        t.harmful_confirmed,
-        t.harmful_unconfirmed,
-        t.benign_silent,
-        t.benign_fired,
-        t.directed_runs,
-        t.directed_hits,
-        t.random_runs,
-        t.random_unconfirmed,
-    ));
-    json.push_str("}\n");
-    json
-}
-
-/// Runs the comparison, prints the table, writes `BENCH_confirm.json`.
+/// Runs the comparison and prints the table.
 ///
 /// # Panics
 ///
-/// Panics if any pipeline stage fails or the JSON cannot be written.
+/// Panics if any pipeline stage fails.
 pub fn main() {
     let budget = 32;
     println!(
@@ -225,7 +186,4 @@ pub fn main() {
         t.benign_silent,
         t.benign_fired
     );
-    let json = render_json(budget, &rows, &t);
-    std::fs::write("BENCH_confirm.json", json).expect("write BENCH_confirm.json");
-    println!("wrote BENCH_confirm.json");
 }

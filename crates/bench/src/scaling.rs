@@ -2,10 +2,12 @@
 //!
 //! The paper's offline analyzer took 30 minutes to 10 hours per trace,
 //! with ToDoList (≈16 h) and Music (≈1 day) slowest "due to the
-//! excessive amount of events". The shape to reproduce is analysis
-//! time growing superlinearly with the number of events; the absolute
-//! numbers are not comparable (this analyzer uses bitset sweeps instead
-//! of the paper's per-query graph walks and runs in milliseconds).
+//! excessive amount of events": time grew superlinearly with events.
+//! The absolute numbers are not comparable (this analyzer runs in
+//! milliseconds). This harness prints the measured times and makes no
+//! claim about their shape: the shipped analyzer answers
+//! happens-before on demand, per island, and does not show the paper's
+//! superlinear growth.
 
 use std::time::Instant;
 
@@ -132,9 +134,4 @@ pub fn main() {
             pt.label, pt.events, pt.records, pt.analyze_s
         );
     }
-    println!(
-        "\nShape check: time grows superlinearly with events, and the\n\
-         event-heavy traces (ToDoList, Camera, Music) are the slowest —\n\
-         the ordering behind the paper's 16h/1day outliers."
-    );
 }

@@ -7,9 +7,10 @@
 //! I/II/III columns.
 
 use cafa_apps::{all_apps, AppSpec, FpType, Label, TrueClass};
-use cafa_core::{Analyzer, RaceClass, RaceReport};
+use cafa_core::{Analyzer, DetectorConfig, DetectorKind, PredictClass, RaceClass, RaceReport};
 use cafa_engine::{fleet, AnalysisSession, SessionStats};
 use cafa_hb::CausalityConfig;
+use cafa_replay::{adjudicate_races, ReplayConfig};
 
 /// One measured Table 1 row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,15 +37,12 @@ pub struct Row {
     pub misclassified: usize,
     /// Known bugs rediscovered.
     pub known: usize,
-    /// Candidates the heuristics filtered.
-    pub filtered: usize,
 }
 
 /// Classifies one app's report against its ground truth.
 pub fn classify(app: &AppSpec, report: &RaceReport) -> Row {
     let mut row = Row {
         reported: report.races.len(),
-        filtered: report.filtered.len(),
         ..Row::default()
     };
     for race in &report.races {
@@ -213,10 +211,66 @@ pub fn main() {
         (b + s.model_builds, h + s.model_cache_hits)
     });
     println!("engine sessions: {builds} HB model build(s), {hits} cache hit(s)");
+}
 
-    std::fs::write("BENCH_table1.json", render_json(&results, &tot))
-        .expect("write BENCH_table1.json");
-    println!("wrote BENCH_table1.json");
+/// One app's row of the per-backend comparison.
+struct BothRow {
+    app: String,
+    /// Events in the recorded trace.
+    events: usize,
+    /// Races the HB backend reported.
+    hb_reported: usize,
+    /// Races the predictive backend reported (superset of HB's).
+    pred_reported: usize,
+    /// Predictive-only extras (`pred_reported - hb_reported` by the
+    /// classification invariant).
+    extra: usize,
+    /// Extras confirmed by a replay-verified witness.
+    confirmed: usize,
+    /// Extras the ladder exhausted its budget on: counted FPs.
+    false_positives: usize,
+}
+
+/// Analyzes one app under `--detector both` and pushes every
+/// predictive-only report through the replay adjudication ladder. The
+/// HB column is the both-mode report's own race list, which is the HB
+/// backend's report.
+///
+/// # Panics
+///
+/// Panics if recording, analysis, or replay fails (the catalog and the
+/// generated corpus run clean).
+fn measure_both(app: &AppSpec, seed: u64) -> BothRow {
+    let outcome = app.record(seed).expect("workload records cleanly");
+    let trace = outcome.trace.expect("instrumentation is on");
+    let config = DetectorConfig {
+        detector: DetectorKind::Both,
+        ..DetectorConfig::cafa()
+    };
+    let report = Analyzer::with_config(config)
+        .analyze_with(&AnalysisSession::new(&trace))
+        .expect("both analysis succeeds");
+    let section = report
+        .predictive
+        .as_ref()
+        .expect("both mode attaches the predictive section");
+    let only: Vec<_> = section
+        .races
+        .iter()
+        .filter(|r| r.class == PredictClass::PredictiveOnly)
+        .map(|r| r.var)
+        .collect();
+    let adj = adjudicate_races(app, &only, &ReplayConfig::default())
+        .expect("adjudication replays cleanly");
+    BothRow {
+        app: app.name.clone(),
+        events: report.stats.events,
+        hb_reported: report.races.len(),
+        pred_reported: section.races.len(),
+        extra: only.len(),
+        confirmed: adj.confirmed(),
+        false_positives: adj.false_positives(),
+    }
 }
 
 /// `table1 --detector both`: the Table-1-style per-backend comparison.
@@ -230,21 +284,17 @@ pub fn main() {
 pub fn main_both() {
     println!("Table 1 per-backend comparison — HB vs predictive (replay-adjudicated)");
     println!(
-        "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4} | {:>8}",
-        "App", "events", "hb", "pred", "extra", "confirmed", "fp", "overhead"
+        "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4}",
+        "App", "events", "hb", "pred", "extra", "confirmed", "fp"
     );
-    let apps = all_apps();
-    let rows: Vec<_> = apps
-        .iter()
-        .map(|app| crate::predict::measure_app(app, 0))
-        .collect();
+    let rows: Vec<_> = all_apps().iter().map(|app| measure_both(app, 0)).collect();
     let mut hb = 0;
     let mut extra = 0;
     let mut confirmed = 0;
     let mut fp = 0;
     for r in &rows {
         println!(
-            "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4} | {:>7.2}x",
+            "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4}",
             r.app,
             r.events,
             r.hb_reported,
@@ -252,7 +302,6 @@ pub fn main_both() {
             r.extra,
             r.confirmed,
             r.false_positives,
-            r.overhead(),
         );
         hb += r.hb_reported;
         extra += r.extra;
@@ -263,53 +312,4 @@ pub fn main_both() {
         "\nhb reported: {hb} (paper: 115); predictive extras: {extra} \
          ({confirmed} confirmed, {fp} false positive(s))"
     );
-}
-
-/// Renders the measured table as a stable JSON document.
-fn render_json(results: &[(AppSpec, Row, SessionStats)], tot: &Row) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n  \"seed\": 0,\n  \"apps\": [\n");
-    for (i, (app, m, _)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let e = app.expected;
-        let _ = writeln!(
-            out,
-            "    {{\"app\": \"{}\", \"events\": {}, \"reported\": {}, \
-             \"true_races\": {{\"a\": {}, \"b\": {}, \"c\": {}}}, \
-             \"false_positives\": {{\"i\": {}, \"ii\": {}, \"iii\": {}}}, \
-             \"known\": {}, \"filtered\": {}, \
-             \"paper\": {{\"events\": {}, \"reported\": {}, \"true\": {}, \"fp\": {}}}}}{comma}",
-            app.name,
-            m.events,
-            m.reported,
-            m.a,
-            m.b,
-            m.c,
-            m.fp1,
-            m.fp2,
-            m.fp3,
-            m.known,
-            m.filtered,
-            e.events,
-            e.reported,
-            e.true_races(),
-            e.false_positives(),
-        );
-    }
-    out.push_str("  ],\n");
-    let true_races = tot.a + tot.b + tot.c;
-    let _ = writeln!(
-        out,
-        "  \"overall\": {{\"reported\": {}, \"true_races\": {}, \"precision_pct\": {:.1}, \
-         \"known\": {}, \"unlabeled\": {}, \"misclassified\": {}}}",
-        tot.reported,
-        true_races,
-        100.0 * true_races as f64 / (tot.reported as f64).max(1.0),
-        tot.known,
-        tot.unlabeled,
-        tot.misclassified,
-    );
-    out.push_str("}\n");
-    out
 }

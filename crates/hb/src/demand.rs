@@ -127,9 +127,6 @@ pub struct DemandCore {
     send_of_event: Vec<Option<u32>>,
     /// Per queue: indices of `sendAtFront` sites (rules 2/4 candidates).
     front_sends: Vec<Vec<u32>>,
-    /// Per queue: dense events it processes (invalidation fan-out when
-    /// the cone of a front send's site grows).
-    events_of_queue: Vec<Vec<u32>>,
 
     // ---- per-node marks ----
     /// Node → dense event whose `begin` it is.
@@ -197,11 +194,9 @@ impl DemandCore {
     pub(crate) fn new(base: &HbBase<'_>, config: CausalityConfig) -> Result<Self, HbError> {
         let (graph, trace, table) = (&base.graph, base.trace, &base.table);
         let (nodes, ev_count) = (graph.node_count(), table.len());
-        let mut events_of_queue = vec![Vec::new(); trace.queue_count()];
         let mut begin_event_of = vec![u32::MAX; nodes];
         let mut end_event_of = vec![u32::MAX; nodes];
-        for (j, (&e, q)) in table.events.iter().zip(&table.queue_of).enumerate() {
-            events_of_queue[q.index()].push(j as u32);
+        for (j, &e) in table.events.iter().enumerate() {
             begin_event_of[graph.begin(e) as usize] = j as u32;
             end_event_of[graph.end(e) as usize] = j as u32;
         }
@@ -226,7 +221,6 @@ impl DemandCore {
             config,
             send_of_event,
             front_sends,
-            events_of_queue,
             begin_event_of,
             end_event_of,
             send_of_node,
@@ -632,6 +626,15 @@ impl DemandCore {
     /// Rules 1/3 read the cone of the anchor's own send site, and need
     /// no branch here: the site has a base `Send` edge to the anchor's
     /// begin, so a sweep that reaches the site reaches that begin too.
+    ///
+    /// Rules 2/4 read the cone of a front send's site (premise a), and
+    /// need no branch either: a conclusion at anchor `e_j` also needs
+    /// premise (b), the front site reaching `begin(e_j)` over base and
+    /// derived edges, which are exactly the edges this sweep follows.
+    /// So a sweep that marks the front site while (b) holds also marks
+    /// `begin(e_j)`, which un-settles `j`; and a later edge that makes
+    /// (b) true lies on the path from the site to `begin(e_j)`, so the
+    /// sweep from that edge reaches `begin(e_j)` too.
     fn visit_invalidated(&mut self, base: &HbBase<'_>, n: NodeId) {
         let begin_j = self.begin_event_of[n as usize];
         if begin_j != u32::MAX {
@@ -642,18 +645,6 @@ impl DemandCore {
         if end_j != u32::MAX && self.settled[end_j as usize] {
             // Atomicity candidates come from cone(end).
             self.unsettle(base, end_j);
-        }
-        let si = self.send_of_node[n as usize];
-        if si != u32::MAX && base.sends[si as usize].front {
-            // Rules 2/4 premise (a) reads cone(front-send site) for
-            // every anchor of the queue.
-            let queue = base.sends[si as usize].queue.index();
-            for i in 0..self.events_of_queue.get(queue).map_or(0, Vec::len) {
-                let j = self.events_of_queue[queue][i];
-                if self.settled[j as usize] {
-                    self.unsettle(base, j);
-                }
-            }
         }
     }
 

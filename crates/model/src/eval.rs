@@ -7,8 +7,8 @@
 //! `Ordered` labels are expected to be suppressed — by the heuristic
 //! filters and the happens-before model respectively. [`Score`]
 //! tallies both sides per label bucket; the `catalog_regression`
-//! suite, `cafa gen --format counts`, and the `--catalog` bench all
-//! join reports through it.
+//! suite, `cafa gen --format counts` and perfbench's `fleet-1m` check
+//! all join reports through it.
 
 use crate::truth::{FpType, GroundTruth, Label, TrueClass};
 use cafa_trace::VarId;
