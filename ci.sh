@@ -163,6 +163,33 @@ for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camer
     done
 done
 
+echo "==> predictive report gate (10 apps + gen:7:0..4 under --detector both vs pinned reports)"
+# Pins every both-mode counter (rounds, derived_edges, gated,
+# external_edges, pairs_checked, filtered) and every predictive race,
+# at every thread count.
+for i in 0 1 2 3 4; do
+    ./target/release/cafa record "gen:7:$i" --seed 7 --format binary \
+        --out "$tmpdir/gen7_$i.bin" > /dev/null
+done
+predictive_reports() { # args: extra analyze flags
+    for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do
+        echo "== $app"
+        ./target/release/cafa analyze "$tmpdir/$app.bin" --detector both --format json "$@"
+    done
+    for i in 0 1 2 3 4; do
+        echo "== gen:7:$i"
+        ./target/release/cafa analyze "$tmpdir/gen7_$i.bin" --detector both --format json "$@"
+    done
+}
+for threads in 1 2 8; do
+    predictive_reports --threads "$threads" > "$tmpdir/predictive.t$threads.txt"
+    if ! cmp -s "$tmpdir/predictive.t$threads.txt" tests/golden/predictive_reports.txt; then
+        echo "FAIL: both-mode reports differ from tests/golden/predictive_reports.txt at --threads $threads" >&2
+        diff tests/golden/predictive_reports.txt "$tmpdir/predictive.t$threads.txt" >&2 || true
+        exit 1
+    fi
+done
+
 echo "==> island partition gate (scale corpus: auto/force vs monolithic at --threads 1/2/8)"
 ./target/release/cafa record scale:42:100000 --format binary --out "$tmpdir/scale42.bin" > /dev/null
 ./target/release/cafa analyze "$tmpdir/scale42.bin" --format json --partition off \

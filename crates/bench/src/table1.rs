@@ -280,14 +280,17 @@ fn measure_both(app: &AppSpec, seed: u64) -> BothRow {
 /// on the predictive extras. The catalog plants no predictive-only
 /// patterns, so the expected steady state is `extra = 0` on every row
 /// — the HB column equality with the plain table is the regression
-/// signal this mode exists for.
+/// signal this mode exists for. Rows run on the fleet like the plain
+/// table's and print in app order at any worker count.
 pub fn main_both() {
     println!("Table 1 per-backend comparison — HB vs predictive (replay-adjudicated)");
     println!(
         "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4}",
         "App", "events", "hb", "pred", "extra", "confirmed", "fp"
     );
-    let rows: Vec<_> = all_apps().iter().map(|app| measure_both(app, 0)).collect();
+    let rows = fleet::map(&all_apps(), fleet::default_threads(), |app| {
+        measure_both(app, 0)
+    });
     let mut hb = 0;
     let mut extra = 0;
     let mut confirmed = 0;

@@ -255,17 +255,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
         .unwrap_or(SizeClass::Mixed);
     let format = opt_value(&mut args, "--format")?.unwrap_or_else(|| "summary".to_owned());
     let out = opt_value(&mut args, "--out")?;
-    let detector = opt_value(&mut args, "--detector")?
-        .map(|s| {
-            cafa_core::DetectorKind::parse(&s).ok_or_else(|| {
-                format!(
-                    "bad detector `{s}` (valid backends: {})",
-                    cafa_core::DetectorKind::VALID.join("|")
-                )
-            })
-        })
-        .transpose()?
-        .unwrap_or_default();
+    let detector = parse_detector(&mut args)?;
     let threads = parse_threads(&mut args)?;
     if !args.is_empty() {
         return Err(format!(
@@ -526,6 +516,21 @@ fn parse_threads(args: &mut Vec<String>) -> Result<usize, String> {
         .unwrap_or(0))
 }
 
+/// Pulls `--detector hb|predictive|both` out of `args` (default `hb`).
+fn parse_detector(args: &mut Vec<String>) -> Result<cafa_core::DetectorKind, String> {
+    Ok(opt_value(args, "--detector")?
+        .map(|s| {
+            cafa_core::DetectorKind::parse(&s).ok_or_else(|| {
+                format!(
+                    "bad detector `{s}` (valid backends: {})",
+                    cafa_core::DetectorKind::VALID.join("|")
+                )
+            })
+        })
+        .transpose()?
+        .unwrap_or_default())
+}
+
 /// Parses a `--model` value into a causality configuration.
 fn parse_model(model: &str) -> Result<CausalityConfig, String> {
     match model {
@@ -559,17 +564,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or_default();
-    let detector = opt_value(&mut args, "--detector")?
-        .map(|s| {
-            cafa_core::DetectorKind::parse(&s).ok_or_else(|| {
-                format!(
-                    "bad detector `{s}` (valid backends: {})",
-                    cafa_core::DetectorKind::VALID.join("|")
-                )
-            })
-        })
-        .transpose()?
-        .unwrap_or_default();
+    let detector = parse_detector(&mut args)?;
     let follow = opt_flag(&mut args, "--follow");
     let poll_ms = opt_value(&mut args, "--poll-ms")?
         .map(|s| s.parse::<u64>().map_err(|_| format!("bad poll-ms `{s}`")))

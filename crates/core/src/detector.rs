@@ -19,7 +19,7 @@ use std::time::Instant;
 use cafa_engine::{AnalysisSession, PassStats};
 use cafa_hb::{CausalityConfig, HbError, HbModel, LockSets};
 use cafa_predict::PredictModel;
-use cafa_trace::{Pc, Trace, VarId};
+use cafa_trace::{OpRef, Pc, Trace, VarId};
 
 use crate::filters::{alloc_after_free, alloc_before_use, if_guarded, FilterReason};
 use crate::partition::PartitionMode;
@@ -291,9 +291,14 @@ impl Analyzer {
         };
 
         let candidates = passes.run("candidates", || {
-            let found = enumerate_candidates(&self.config, ops, &model, &mut stats);
-            let count = found.len();
-            (found, count)
+            // The workers share the model, not the session's `Rc`.
+            let hb: &HbModel = &model;
+            let c = enumerate_candidates(&self.config, ops, |a, b| hb.happens_before(a, b));
+            stats.candidate_vars = c.candidate_vars;
+            stats.pairs_checked = c.pairs_checked;
+            stats.truncated_vars = c.truncated_vars;
+            let count = c.found.len();
+            (c.found, count)
         });
 
         let (filtered, survivors) = passes.run("filters", || {
@@ -361,7 +366,7 @@ impl Analyzer {
                         let edges = m.stats().derived_edges;
                         (Ok(m), edges)
                     }
-                    Err(e) => (Err(HbError::from(e)), 0),
+                    Err(e) => (Err(e), 0),
                 }
             })?;
             let section = passes.run("predict-candidates", || {
@@ -431,29 +436,38 @@ struct Candidate {
     free_site: FreeSite,
 }
 
-/// The `candidates` pass: enumerates concurrent (use, free) pairs per
-/// pointer variable, deduplicated by (variable, use pc, free pc), with
-/// the per-variable pair cap recorded in `stats`.
+/// What one run of [`enumerate_candidates`] found, with its counters.
+struct Candidates {
+    found: Vec<Candidate>,
+    /// Variables with at least one use and one free.
+    candidate_vars: usize,
+    /// Dynamic (use, free) instance pairs examined.
+    pairs_checked: usize,
+    /// Variables whose instance pairs hit the per-variable cap.
+    truncated_vars: Vec<VarId>,
+}
+
+/// Enumerates the (use, free) pairs per pointer variable that `ordered`
+/// leaves unordered both ways, deduplicated by (variable, use pc, free
+/// pc), honoring the per-variable pair cap. The `candidates` pass asks
+/// the HB model, the `predict-candidates` pass the predictive order.
 ///
-/// Variables fan out across the scoped worker pool; each worker
-/// resolves its pairs through the model's reachability index. Per-var
+/// Variables fan out across the scoped worker pool. Per-var
 /// enumeration is fully independent — the dedup key is scoped to the
 /// variable and the pair cap is per-variable — and the merge walks the
 /// sorted variable list in input order, so the result (including
-/// candidate order and every statistic) is identical at any thread
+/// candidate order and every counter) is identical at any thread
 /// count.
 fn enumerate_candidates(
     config: &DetectorConfig,
     ops: &MemoryOps,
-    model: &HbModel,
-    stats: &mut DetectStats,
-) -> Vec<Candidate> {
+    ordered: impl Fn(OpRef, OpRef) -> bool + Sync,
+) -> Candidates {
     let candidate_vars: Vec<VarId> = {
         let mut v: Vec<VarId> = ops.candidate_vars().collect();
         v.sort_unstable();
         v
     };
-    stats.candidate_vars = candidate_vars.len();
 
     /// One variable's enumeration result.
     struct VarResult {
@@ -489,9 +503,7 @@ fn enumerate_candidates(
                 if seen.contains(&key) {
                     continue;
                 }
-                if model.happens_before(use_site.at, free_site.at)
-                    || model.happens_before(free_site.at, use_site.at)
-                {
+                if ordered(use_site.at, free_site.at) || ordered(free_site.at, use_site.at) {
                     continue; // ordered: no race for this instance
                 }
                 seen.insert(key);
@@ -509,33 +521,35 @@ fn enumerate_candidates(
         }
     });
 
-    let mut found: Vec<Candidate> = Vec::new();
+    let mut out = Candidates {
+        found: Vec::new(),
+        candidate_vars: candidate_vars.len(),
+        pairs_checked: 0,
+        truncated_vars: Vec::new(),
+    };
     for (&var, r) in candidate_vars.iter().zip(per_var) {
-        stats.pairs_checked += r.pairs_checked;
+        out.pairs_checked += r.pairs_checked;
         if r.truncated {
-            stats.truncated_vars.push(var);
+            out.truncated_vars.push(var);
         }
-        found.extend(r.found);
+        out.found.extend(r.found);
     }
-    found
+    out
 }
 
-/// The `predict-candidates` pass: enumerates predictively-concurrent
-/// (use, free) pairs, applies the predictive filter discipline, and
-/// classifies each survivor against the HB report set.
+/// The `predict-candidates` pass: the pairs the predictive order leaves
+/// concurrent ([`enumerate_candidates`]), filtered by the predictive
+/// filter discipline and classified against the HB report set, in
+/// enumeration order.
 ///
-/// Enumeration mirrors [`enumerate_candidates`] — per-variable fan-out
-/// over the fleet pool, (use pc, free pc) dedup, the per-variable pair
-/// cap — but asks the predictive order instead of HB, so the result is
-/// identical at any thread count for the same reasons. Filtering
-/// differs in exactly one rule: a common monitor suppresses a pair
-/// only when the two tasks also conflict on state *beyond* the racing
-/// variable ([`PredictModel::tasks_conflict_besides`]) — a lock whose
-/// sections touch only the racing pointer does not pin their order, so
-/// the pair stays reportable and replay adjudicates. The same-looper
-/// if-guard and intra-event-allocation heuristics apply unchanged:
-/// they reason about event atomicity, which the predictive relation
-/// preserves.
+/// Filtering differs from the HB pipeline in exactly one rule: a common
+/// monitor suppresses a pair only when the two tasks also conflict on
+/// state *beyond* the racing variable
+/// ([`PredictModel::tasks_conflict_besides`]) — a lock whose sections
+/// touch only the racing pointer does not pin their order, so the pair
+/// stays reportable and replay adjudicates. The same-looper if-guard
+/// and intra-event-allocation heuristics apply unchanged: they reason
+/// about event atomicity, which the predictive relation preserves.
 fn predictive_section(
     config: &DetectorConfig,
     ops: &MemoryOps,
@@ -544,123 +558,57 @@ fn predictive_section(
     trace: &Trace,
     hb_races: &[UseFreeRace],
 ) -> PredictiveSection {
+    let candidates = enumerate_candidates(config, ops, |a, b| pmodel.happens_before(a, b));
     let p = pmodel.stats();
     let mut stats = PredictiveStats {
         rounds: p.rounds,
         derived_edges: p.derived_edges,
         gated: p.gated,
         external_edges: p.external_edges,
-        ..PredictiveStats::default()
+        pairs_checked: candidates.pairs_checked,
+        filtered: 0,
+        truncated_vars: candidates.truncated_vars.len(),
     };
     let hb_keys: HashSet<(VarId, Pc, Pc)> = hb_races
         .iter()
         .map(|r| (r.var, r.use_site.read_pc, r.free_site.pc))
         .collect();
     let locks = LockSets::new(trace);
-
-    let candidate_vars: Vec<VarId> = {
-        let mut v: Vec<VarId> = ops.candidate_vars().collect();
-        v.sort_unstable();
-        v
-    };
-
-    /// One variable's predictive enumeration result.
-    struct VarResult {
-        found: Vec<PredictiveRace>,
-        pairs_checked: usize,
-        filtered: usize,
-        truncated: bool,
-    }
-
-    let threads = cafa_hb::resolve_threads(config.threads);
-    let per_var = cafa_engine::fleet::map(&candidate_vars, threads, |&var| {
-        let vo = ops.var_ops(var).expect("candidate var has ops");
-        let mut found: Vec<PredictiveRace> = Vec::new();
-        let mut seen: HashSet<(Pc, Pc)> = HashSet::new();
-        let mut pairs_checked = 0usize;
-        let mut filtered = 0usize;
-        let mut truncated = false;
-        'pairs: for &ui in &vo.uses {
-            for &fi in &vo.frees {
-                let use_site = ops.uses[ui];
-                let free_site = ops.frees[fi];
-                if use_site.at.task == free_site.at.task {
-                    continue;
-                }
-                if config.drop_ambiguous_uses && use_site.ambiguous {
-                    continue;
-                }
-                if pairs_checked >= config.max_pairs_per_var {
-                    truncated = true;
-                    break 'pairs;
-                }
-                pairs_checked += 1;
-
-                let key = (use_site.read_pc, free_site.pc);
-                if seen.contains(&key) {
-                    continue;
-                }
-                if pmodel.happens_before(use_site.at, free_site.at)
-                    || pmodel.happens_before(free_site.at, use_site.at)
-                {
-                    continue; // predictive-ordered: no feasible flip
-                }
-                seen.insert(key);
-                if predictive_filtered(
-                    config, model, pmodel, &locks, ops, var, &use_site, &free_site,
-                ) {
-                    filtered += 1;
-                    continue;
-                }
-                let class = if hb_keys.contains(&(var, use_site.read_pc, free_site.pc)) {
-                    PredictClass::Both
-                } else {
-                    PredictClass::PredictiveOnly
-                };
-                found.push(PredictiveRace {
-                    var,
-                    use_site,
-                    free_site,
-                    class,
-                });
-            }
-        }
-        VarResult {
-            found,
-            pairs_checked,
-            filtered,
-            truncated,
-        }
-    });
-
     let mut races: Vec<PredictiveRace> = Vec::new();
-    for r in per_var {
-        stats.pairs_checked += r.pairs_checked;
-        stats.filtered += r.filtered;
-        if r.truncated {
-            stats.truncated_vars += 1;
+    for c in candidates.found {
+        if predictive_filtered(config, model, pmodel, &locks, ops, &c) {
+            stats.filtered += 1;
+            continue;
         }
-        races.extend(r.found);
+        let class = if hb_keys.contains(&(c.var, c.use_site.read_pc, c.free_site.pc)) {
+            PredictClass::Both
+        } else {
+            PredictClass::PredictiveOnly
+        };
+        races.push(PredictiveRace {
+            var: c.var,
+            use_site: c.use_site,
+            free_site: c.free_site,
+            class,
+        });
     }
     PredictiveSection { races, stats }
 }
 
 /// The predictive filter discipline for one predictively-concurrent
 /// pair (see [`predictive_section`]).
-#[allow(clippy::too_many_arguments)]
 fn predictive_filtered(
     config: &DetectorConfig,
     model: &HbModel,
     pmodel: &PredictModel,
     locks: &LockSets,
     ops: &MemoryOps,
-    var: VarId,
-    use_site: &UseSite,
-    free_site: &FreeSite,
+    c: &Candidate,
 ) -> bool {
+    let (use_site, free_site) = (&c.use_site, &c.free_site);
     if config.lockset_filter
         && locks.common(use_site.at, free_site.at).is_some()
-        && pmodel.tasks_conflict_besides(use_site.at.task, free_site.at.task, var)
+        && pmodel.tasks_conflict_besides(use_site.at.task, free_site.at.task, c.var)
     {
         return true;
     }

@@ -112,18 +112,6 @@ impl HbError {
             last_delta,
         }
     }
-
-    /// Builds a [`HbError::DerivationDiverged`] with no edge detail —
-    /// for derived relations built on this crate's graph machinery
-    /// (e.g. `cafa-predict`'s conflict-gated fixpoint) whose own round
-    /// limits trip without a last-delta edge log to name edges from.
-    pub fn diverged_after(rounds: u32) -> Self {
-        HbError::DerivationDiverged {
-            rounds,
-            delta_edges: 0,
-            last_delta: Vec::new(),
-        }
-    }
 }
 
 impl fmt::Display for HbError {

@@ -79,4 +79,4 @@ pub use model::{CauseStep, HbModel, OpOrder};
 pub use oracle::{resolve_threads, ReachOracle};
 #[doc(hidden)]
 pub use rules::derive_naive;
-pub use rules::{DerivationStats, EventTable};
+pub use rules::{derive_gated, DerivationStats, EventTable};

@@ -16,8 +16,11 @@
 //! edge. Analysis queries go through the demand engine (`demand.rs`)
 //! instead, which settles only the cones a query probes; the
 //! differential suites compare its answers against this loop, and
-//! `cafa graph` draws this loop's edges. See `docs/FIXPOINT.md` for why
-//! both compute the same least fixpoint.
+//! `cafa graph` draws this loop's edges. [`derive_gated`] is the same
+//! loop with a static gate on each conclusion's event pair: with the
+//! conflict gate it computes `cafa-predict`'s predictive order. See
+//! `docs/FIXPOINT.md` for why these compute the least fixpoints of their
+//! rules.
 
 use cafa_trace::{QueueId, Record, TaskId, Trace};
 
@@ -148,6 +151,9 @@ pub struct DerivationStats {
     /// side-condition check. The naive loop re-tests every candidate
     /// every round.
     pub instances: u64,
+    /// Conclusions not already implied that the gate of
+    /// [`derive_gated`] refused (0 under [`derive_naive`]).
+    pub gated: u64,
     /// Edges added by the atomicity rule.
     pub atomicity_edges: usize,
     /// Edges added by queue rules 1–4 respectively.
@@ -328,8 +334,10 @@ fn prior_contains(
 /// Applies one round of rules over the round-start facts in `rows`:
 /// atomicity and queue rules 1/3 at each anchor in `anchors` (dense
 /// events, in event order), then rules 2/4 at every front send. Every
-/// candidate is re-tested; a conclusion is materialized unless the
-/// anchor's working set already implies it.
+/// candidate is re-tested; a conclusion `end(e₁) → begin(e₂)` is
+/// materialized unless the anchor's working set already implies it or
+/// `gate(e₁, e₂)` refuses it.
+#[allow(clippy::too_many_arguments)]
 fn run_round(
     g: &mut SyncGraph,
     idx: &RuleIndex<'_>,
@@ -338,6 +346,7 @@ fn run_round(
     anchors: &[u32],
     arena: &mut RoundArena,
     stats: &mut DerivationStats,
+    gate: &impl Fn(TaskId, TaskId) -> bool,
 ) {
     let RoundArena {
         evord,
@@ -385,13 +394,18 @@ fn run_round(
             let e_j = idx.table.events[j];
             let reach_end = &acc_begin[g.end(e_j) as usize];
             let mask = &idx.queue_mask[idx.table.queue_of[j].index()];
+            // Every candidate is an instance; those the working set
+            // already implies are dropped before the sort (the set only
+            // grows, so they would be skipped at their turn anyway).
             fresh.clear();
             reach_end.for_each_in_diff(mask, empty_ev, |i1| {
                 if i1 != j {
-                    fresh.push(i1);
+                    stats.instances += 1;
+                    if !set.contains(i1) {
+                        fresh.push(i1);
+                    }
                 }
             });
-            stats.instances += fresh.len() as u64;
             // Latest predecessors first: firing (e_k, e_j) before
             // (e_i, e_j) lets e_k's absorbed set imply the earlier
             // pairs, keeping materialized edges near-linear on
@@ -399,9 +413,14 @@ fn run_round(
             fresh.sort_by_key(|&i1| std::cmp::Reverse(ctx.topo_pos[ctx.event_begin[i1] as usize]));
             for &i1 in fresh.iter() {
                 if set.contains(i1) {
-                    continue; // already implied
+                    continue; // implied by a conclusion fired above
                 }
-                if g.add_edge(g.end(idx.table.events[i1]), begin_j, EdgeKind::Atomicity) {
+                let e_i1 = idx.table.events[i1];
+                if !gate(e_i1, e_j) {
+                    stats.gated += 1;
+                    continue;
+                }
+                if g.add_edge(g.end(e_i1), begin_j, EdgeKind::Atomicity) {
                     stats.atomicity_edges += 1;
                     anchor_fired = true;
                     absorb_conclusion(
@@ -421,11 +440,15 @@ fn run_round(
                 fresh.clear();
                 reach.for_each_in_diff(mask, empty_send, |i| {
                     if i != sj {
-                        fresh.push(i);
+                        stats.instances += 1;
+                        let e1 = idx.table.dense(idx.sends[i].event);
+                        if !e1.is_some_and(|d| set.contains(d as usize)) {
+                            fresh.push(i);
+                        }
                     }
                 });
-                stats.instances += fresh.len() as u64;
-                // Same latest-first ordering as the atomicity loop.
+                // Same implied-first filter and latest-first ordering as
+                // the atomicity loop.
                 fresh.sort_by_key(|&i| {
                     idx.table
                         .dense(idx.sends[i].event)
@@ -441,7 +464,11 @@ fn run_round(
                     }
                     let i1 = idx.table.dense(s1.event).expect("sent tasks are events") as usize;
                     if set.contains(i1) {
-                        continue; // already implied
+                        continue; // implied by a conclusion fired above
+                    }
+                    if !gate(s1.event, idx.table.events[j]) {
+                        stats.gated += 1;
+                        continue;
                     }
                     let rule = if s1.front { 3u8 } else { 1 };
                     if g.add_edge(g.end(s1.event), begin_j, EdgeKind::Queue(rule)) {
@@ -487,6 +514,10 @@ fn run_round(
                 let i2 = idx.table.dense(s2.event).expect("sent tasks are events") as usize;
                 if prior_contains(evord, fired, fired_mask, rows, ctx, i1, i2) {
                     continue; // already implied
+                }
+                if !gate(s2.event, s1.event) {
+                    stats.gated += 1;
+                    continue;
                 }
                 let rule = if s1.front { 4u8 } else { 2 };
                 if g.add_edge(g.end(s2.event), begin_e1, EdgeKind::Queue(rule)) {
@@ -546,7 +577,8 @@ fn call_marks(
 /// suites compare it against, and the derived edges `cafa graph` draws.
 /// Every round sweeps fresh reachability facts with three full `flow`
 /// passes and re-tests **every** rule instance — all event pairs and
-/// send-site pairs.
+/// send-site pairs. It is [`derive_gated`] with a gate that admits
+/// every conclusion.
 ///
 /// # Errors
 ///
@@ -559,6 +591,32 @@ pub fn derive_naive(
     g: &mut SyncGraph,
     trace: &Trace,
     config: &CausalityConfig,
+) -> Result<DerivationStats, HbError> {
+    derive_gated(g, trace, config, |_, _| true)
+}
+
+/// The naive §3.3 fixpoint of [`derive_naive`], materializing a
+/// conclusion `end(e₁) → begin(e₂)` only when `gate(e₁, e₂)` admits
+/// it. The gate is asked after the already-implied check, so it sees
+/// exactly the conclusions the ungated loop would add; each refusal
+/// counts in [`DerivationStats::gated`] and adds nothing to the working
+/// set. The atomicity rule and queue rules 1/3 ask `(e₁, e_j)` for
+/// the earlier event and the anchor; rules 2/4 ask `(e₂, e₁)`, since
+/// their conclusion runs the front-sent event first.
+///
+/// A gate that depends only on the pair (not on the graph) keeps every
+/// rule monotone, so the loop still reaches the least fixpoint of the
+/// gated rules, and that fixpoint is contained in the ungated one
+/// (`docs/FIXPOINT.md`). `cafa-predict` gates on a shared variable.
+///
+/// # Errors
+///
+/// As [`derive_naive`].
+pub fn derive_gated(
+    g: &mut SyncGraph,
+    trace: &Trace,
+    config: &CausalityConfig,
+    gate: impl Fn(TaskId, TaskId) -> bool,
 ) -> Result<DerivationStats, HbError> {
     let table = EventTable::new(trace)?;
     let mut stats = DerivationStats::default();
@@ -635,7 +693,9 @@ pub fn derive_naive(
         };
         let anchors = event_order.clone();
         let log_before = g.edge_log().len();
-        run_round(g, &idx, &view, &ctx, &anchors, &mut arena, &mut stats);
+        run_round(
+            g, &idx, &view, &ctx, &anchors, &mut arena, &mut stats, &gate,
+        );
         let log_after = g.edge_log().len();
         if log_after == log_before {
             return Ok(stats);
@@ -662,9 +722,8 @@ mod tests {
         g.reaches(g.end(e1), g.begin(e2), &mut scratch)
     }
 
-    /// Figure 4b: two sends with equal delays from one thread → ordered.
-    #[test]
-    fn fig4b_equal_delay_sends_order_events() {
+    /// Figure 4b: two sends with equal delays from one thread.
+    fn fig4b() -> (Trace, TaskId, TaskId) {
         let mut b = TraceBuilder::new("fig4b");
         let p = b.add_process();
         let q = b.add_queue(p);
@@ -673,7 +732,82 @@ mod tests {
         let e = b.post(t, q, "B", 1);
         b.process_event(a);
         b.process_event(e);
-        let trace = b.finish().unwrap();
+        (b.finish().unwrap(), a, e)
+    }
+
+    /// Figure 4d: send(A) then sendAtFront(B) inside event C; returns
+    /// (trace, C, A, B).
+    fn fig4d() -> (Trace, TaskId, TaskId, TaskId) {
+        let mut b = TraceBuilder::new("fig4d");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let t = b.add_thread(p, "T");
+        let c = b.post(t, q, "C", 0);
+        b.process_event(c);
+        let a = b.post(c, q, "A", 0);
+        let front = b.post_front(c, q, "B");
+        b.process_event(front);
+        b.process_event(a);
+        (b.finish().unwrap(), c, a, front)
+    }
+
+    /// Queue rule 3: sendAtFront(A) then send(B, 50) from one thread.
+    fn rule3() -> (Trace, TaskId, TaskId) {
+        let mut b = TraceBuilder::new("rule3");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let t = b.add_thread(p, "T");
+        let front = b.post_front(t, q, "A");
+        let e = b.post(t, q, "B", 50);
+        b.process_event(front);
+        b.process_event(e);
+        (b.finish().unwrap(), front, e)
+    }
+
+    /// Queue rule 4: sendAtFront(A) then sendAtFront(B) inside event C;
+    /// B jumped in front of A. Returns (trace, A, B).
+    fn rule4() -> (Trace, TaskId, TaskId) {
+        let mut b = TraceBuilder::new("rule4");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let t = b.add_thread(p, "T");
+        let c = b.post(t, q, "C", 0);
+        b.process_event(c);
+        let e1 = b.post_front(c, q, "A");
+        let e2 = b.post_front(c, q, "B");
+        b.process_event(e2);
+        b.process_event(e1);
+        (b.finish().unwrap(), e1, e2)
+    }
+
+    /// Figure 4a: A forks T; T registers a listener that B performs.
+    fn fig4a() -> (Trace, TaskId, TaskId) {
+        let mut b = TraceBuilder::new("fig4a");
+        let p = b.add_process();
+        let q = b.add_queue(p);
+        let _main = b.add_thread(p, "main");
+        let l = b.add_listener("android.view");
+        let a = b.external(q, "A");
+        let e = b.external(q, "B");
+        b.process_event(a);
+        let t = b.fork(a, p, "T");
+        b.register(t, l);
+        b.process_event(e);
+        b.perform(e, l);
+        (b.finish().unwrap(), a, e)
+    }
+
+    /// Only fork, register and the derived rules act: no external rule.
+    fn no_external() -> CausalityConfig {
+        let mut config = CausalityConfig::cafa();
+        config.external_rule = false;
+        config
+    }
+
+    /// Figure 4b: two sends with equal delays from one thread → ordered.
+    #[test]
+    fn fig4b_equal_delay_sends_order_events() {
+        let (trace, a, e) = fig4b();
         let (g, stats) = run(&trace);
         assert!(ordered(&g, a, e));
         assert!(!ordered(&g, e, a));
@@ -702,17 +836,7 @@ mod tests {
     /// looper → B ≺ A (queue rule 2).
     #[test]
     fn fig4d_sendatfront_within_event_orders_front_first() {
-        let mut b = TraceBuilder::new("fig4d");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let c = b.post(t, q, "C", 0);
-        b.process_event(c);
-        let a = b.post(c, q, "A", 0);
-        let front = b.post_front(c, q, "B");
-        b.process_event(front);
-        b.process_event(a);
-        let trace = b.finish().unwrap();
+        let (trace, c, a, front) = fig4d();
         let (g, stats) = run(&trace);
         assert!(ordered(&g, front, a), "B must happen-before A");
         assert!(!ordered(&g, a, front));
@@ -743,15 +867,7 @@ mod tests {
     /// the front event runs first, regardless of delay.
     #[test]
     fn rule3_front_send_before_plain_send() {
-        let mut b = TraceBuilder::new("rule3");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let front = b.post_front(t, q, "A");
-        let e = b.post(t, q, "B", 50);
-        b.process_event(front);
-        b.process_event(e);
-        let trace = b.finish().unwrap();
+        let (trace, front, e) = rule3();
         let (g, stats) = run(&trace);
         assert!(ordered(&g, front, e));
         assert!(stats.queue_edges[2] >= 1, "rule 3 fired");
@@ -761,18 +877,7 @@ mod tests {
     /// looper → the later front-send runs first.
     #[test]
     fn rule4_two_front_sends_within_event() {
-        let mut b = TraceBuilder::new("rule4");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let t = b.add_thread(p, "T");
-        let c = b.post(t, q, "C", 0);
-        b.process_event(c);
-        let e1 = b.post_front(c, q, "A");
-        let e2 = b.post_front(c, q, "B");
-        // B jumped in front of A.
-        b.process_event(e2);
-        b.process_event(e1);
-        let trace = b.finish().unwrap();
+        let (trace, e1, e2) = rule4();
         let (g, stats) = run(&trace);
         assert!(ordered(&g, e2, e1), "the later front-send runs first");
         assert!(!ordered(&g, e1, e2));
@@ -783,27 +888,53 @@ mod tests {
     /// is performed... the atomicity rule orders A before B.
     #[test]
     fn fig4a_atomicity_via_fork_and_listener() {
-        let mut b = TraceBuilder::new("fig4a");
-        let p = b.add_process();
-        let q = b.add_queue(p);
-        let _main = b.add_thread(p, "main");
-        let l = b.add_listener("android.view");
-        let a = b.external(q, "A");
-        let e = b.external(q, "B");
-        b.process_event(a);
-        let t = b.fork(a, p, "T");
-        b.register(t, l);
-        b.process_event(e);
-        b.perform(e, l);
-        let trace = b.finish().unwrap();
-
-        // Disable the external rule so only fork+register+atomicity act.
-        let mut config = CausalityConfig::cafa();
-        config.external_rule = false;
+        let (trace, a, e) = fig4a();
+        let config = no_external();
         let mut g = base_graph(&trace, &config);
         let stats = derive_naive(&mut g, &trace, &config).unwrap();
         assert!(ordered(&g, a, e), "atomicity lifts fork≺perform to A≺B");
         assert!(stats.atomicity_edges >= 1);
+    }
+
+    /// A gate that refuses every conclusion derives no edge on any rule
+    /// family and counts each refusal. A gate that refuses only the
+    /// pair's own conclusion leaves it unordered, so the gate is asked
+    /// `(e₁, e₂)` for atomicity and rules 1/3, and `(B, A)` when rules
+    /// 2/4 run the front-sent B first.
+    #[test]
+    fn refusing_gate_derives_nothing_and_counts_refusals() {
+        let (t4a, a4a, b4a) = fig4a();
+        let (t4b, a4b, b4b) = fig4b();
+        let (t4d, _, a4d, b4d) = fig4d();
+        let (t3, a3, b3) = rule3();
+        let (t4, a4, b4) = rule4();
+        let cases = [
+            ("fig4a", t4a, no_external(), (a4a, b4a)),
+            ("fig4b", t4b, CausalityConfig::cafa(), (a4b, b4b)),
+            ("fig4d", t4d, CausalityConfig::cafa(), (b4d, a4d)),
+            ("rule3", t3, CausalityConfig::cafa(), (a3, b3)),
+            ("rule4", t4, CausalityConfig::cafa(), (b4, a4)),
+        ];
+        for (name, trace, config, (first, then)) in cases {
+            let mut g = base_graph(&trace, &config);
+            let base_edges = g.edge_log().len();
+            let asked = std::cell::Cell::new(0u64);
+            let stats = derive_gated(&mut g, &trace, &config, |_, _| {
+                asked.set(asked.get() + 1);
+                false
+            })
+            .unwrap();
+            assert_eq!(g.edge_log().len(), base_edges, "{name}: no edge derived");
+            assert_eq!(stats.derived_edges(), 0, "{name}");
+            assert!(stats.gated >= 1, "{name}: refusals are counted");
+            assert_eq!(stats.gated, asked.get(), "{name}");
+
+            let mut g = base_graph(&trace, &config);
+            let stats =
+                derive_gated(&mut g, &trace, &config, |e1, e2| (e1, e2) != (first, then)).unwrap();
+            assert!(stats.gated >= 1, "{name}");
+            assert!(!ordered(&g, first, then), "{name}: asked (earlier, later)");
+        }
     }
 
     /// Derivations cascade across rounds: a queue-rule edge enables an

@@ -24,6 +24,11 @@
 //!   state is an accident of the observed schedule, not causality —
 //!   dropping it is exactly the DC-style "doesn't-commute" relaxation.
 //!
+//! The crate holds no rule loop of its own. It supplies the per-task
+//! access bitmaps, the conflict-scoped external edges and the gate;
+//! `cafa_hb::derive_gated`, the loop behind the HB reference
+//! derivation, derives the gated atomicity and queue conclusions.
+//!
 //! Every fact of this relation is implied by the paper's model, so the
 //! predictive order is a subset of HB (`predictive ⊆ HB`, pinned by
 //! `tests/predictive_differential.rs`): anything HB-concurrent stays
@@ -47,100 +52,26 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::fmt;
-
 use cafa_hb::bitset::BitSet;
 use cafa_hb::{
-    base_graph, resolve_threads, CausalityConfig, EdgeKind, EventTable, HbError, NodeId,
-    ReachOracle, SyncGraph,
+    base_graph, derive_gated, resolve_threads, CausalityConfig, EdgeKind, HbError, ReachOracle,
+    SyncGraph,
 };
-use cafa_trace::{OpRef, QueueId, Record, TaskId, Trace, VarId};
-
-/// Upper bound on fixpoint rounds, same safety net as the HB engine.
-const MAX_ROUNDS: u32 = 64;
-
-/// A failure while building the predictive model.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum PredictError {
-    /// The underlying graph machinery failed (malformed trace, cycle).
-    Hb(HbError),
-    /// The conflict-gated fixpoint failed to converge within the round
-    /// limit. The gate only removes rule firings, so this can only
-    /// happen on traces where the HB fixpoint diverges too.
-    Diverged {
-        /// Rounds executed before giving up.
-        rounds: u32,
-    },
-}
-
-impl fmt::Display for PredictError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PredictError::Hb(e) => write!(f, "predictive model: {e}"),
-            PredictError::Diverged { rounds } => write!(
-                f,
-                "predictive rule fixpoint failed to converge after {rounds} rounds"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PredictError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PredictError::Hb(e) => Some(e),
-            PredictError::Diverged { .. } => None,
-        }
-    }
-}
-
-impl From<HbError> for PredictError {
-    fn from(e: HbError) -> Self {
-        PredictError::Hb(e)
-    }
-}
-
-impl From<PredictError> for HbError {
-    fn from(e: PredictError) -> Self {
-        match e {
-            PredictError::Hb(e) => e,
-            PredictError::Diverged { rounds } => HbError::diverged_after(rounds),
-        }
-    }
-}
+use cafa_trace::{OpRef, TaskId, Trace, VarId};
 
 /// Statistics about a completed predictive-model build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictStats {
-    /// Event tasks in the trace.
-    pub events: usize,
-    /// Send sites feeding the queue rules.
-    pub sends: usize,
     /// Conflict-scoped external-input edges added (gesture pairs whose
     /// handlers conflict).
     pub external_edges: usize,
     /// Rounds until the gated fixpoint converged (≥ 1).
     pub rounds: u32,
-    /// Rule instances evaluated (premise candidates + side-condition
-    /// checks), the naive re-test-everything count.
-    pub instances: u64,
     /// Rule conclusions suppressed by the conflict gate: orderings the
     /// HB model materializes that this relation deliberately drops.
     pub gated: u64,
     /// Atomicity/queue edges actually added.
     pub derived_edges: usize,
-}
-
-/// One `send`/`sendAtFront` occurrence (the HB crate's equivalent
-/// structure is crate-private).
-#[derive(Clone, Copy, Debug)]
-struct SendSite {
-    node: NodeId,
-    event: TaskId,
-    queue: QueueId,
-    delay_ms: u64,
-    front: bool,
 }
 
 /// The predictive partial order over one trace, queryable per
@@ -157,50 +88,49 @@ pub struct PredictModel {
 
 impl PredictModel {
     /// Builds the predictive order for `trace`: hard base edges, the
-    /// conflict-scoped external rule, then the conflict-gated §3.3
-    /// fixpoint, closed into a [`ReachOracle`] using up to `threads`
-    /// workers (0 = auto). Deterministic at every thread count.
+    /// conflict-scoped external rule, then the §3.3 fixpoint of
+    /// [`derive_gated`] under the conflict gate, closed into a
+    /// [`ReachOracle`] using up to `threads` workers (0 = auto).
+    /// Deterministic at every thread count.
     ///
     /// # Errors
     ///
-    /// [`PredictError::Hb`] on malformed traces or a cyclic relation
-    /// (impossible for recorded executions), [`PredictError::Diverged`]
-    /// if the fixpoint exceeds its round limit.
-    pub fn build(trace: &Trace, threads: usize) -> Result<Self, PredictError> {
+    /// [`HbError`] on malformed traces, a cyclic relation (impossible
+    /// for recorded executions), or a fixpoint that exceeds its round
+    /// limit.
+    pub fn build(trace: &Trace, threads: usize) -> Result<Self, HbError> {
         let mut config = CausalityConfig::cafa();
         config.external_rule = false;
         let mut g = base_graph(trace, &config);
-        let table = EventTable::new(trace)?;
         let access = access_sets(trace);
-        let mut stats = PredictStats {
-            events: table.len(),
-            ..PredictStats::default()
-        };
 
         // Conflict-scoped external-input rule: order a gesture pair
         // only when the handlers share state. The HB chain orders all
         // pairs transitively, so every edge added here is HB-implied.
+        let mut external_edges = 0;
         let ext = trace.external_events();
         for (i, &a) in ext.iter().enumerate() {
             for &b in &ext[i + 1..] {
                 if conflicts(&access, a, b) && g.add_edge(g.end(a), g.begin(b), EdgeKind::External)
                 {
-                    stats.external_edges += 1;
+                    external_edges += 1;
                 }
             }
         }
 
-        let sends = collect_sends(&g, trace);
-        stats.sends = sends.len();
-        fixpoint(&mut g, trace, &table, &sends, &access, &mut stats)?;
-
+        let derived = derive_gated(&mut g, trace, &config, |a, b| conflicts(&access, a, b))?;
         let oracle = ReachOracle::build(&g, resolve_threads(threads))
-            .map_err(|nodes| PredictError::Hb(HbError::cyclic(&g, &nodes)))?;
+            .map_err(|nodes| HbError::cyclic(&g, &nodes))?;
         Ok(Self {
             graph: g,
             oracle,
             access,
-            stats,
+            stats: PredictStats {
+                external_edges,
+                rounds: derived.rounds,
+                gated: derived.gated,
+                derived_edges: derived.derived_edges(),
+            },
         })
     }
 
@@ -277,430 +207,6 @@ fn conflicts(access: &[BitSet], a: TaskId, b: TaskId) -> bool {
         .any(|(x, y)| x & y != 0)
 }
 
-/// Collects the send sites of `trace` (nodes resolved against `g`).
-fn collect_sends(g: &SyncGraph, trace: &Trace) -> Vec<SendSite> {
-    let mut sends = Vec::new();
-    for (at, r) in trace.iter_ops() {
-        let (event, queue, delay_ms, front) = match *r {
-            Record::Send {
-                event,
-                queue,
-                delay_ms,
-            } => (event, queue, delay_ms, false),
-            Record::SendAtFront { event, queue } => (event, queue, 0, true),
-            _ => continue,
-        };
-        let node = g.node_of(at).expect("send records are sync nodes");
-        sends.push(SendSite {
-            node,
-            event,
-            queue,
-            delay_ms,
-            front,
-        });
-    }
-    sends
-}
-
-/// Computes, for every node, which marked nodes reach it (strictly,
-/// through at least one edge) — the naive full-sweep reachability the
-/// HB reference engine uses per round.
-fn flow(g: &SyncGraph, topo: &[NodeId], mark_of: &[Option<u32>], width: usize) -> Vec<BitSet> {
-    let mut acc: Vec<BitSet> = vec![BitSet::new(0); g.node_count()];
-    for &n in topo {
-        let mut row = BitSet::new(width);
-        for p in g.preds(n) {
-            row.union_with(&acc[p as usize]);
-            if let Some(m) = mark_of[p as usize] {
-                row.insert(m as usize);
-            }
-        }
-        acc[n as usize] = row;
-    }
-    acc
-}
-
-/// Immutable per-build rule indices.
-struct RuleCtx<'a> {
-    table: &'a EventTable,
-    sends: &'a [SendSite],
-    access: &'a [BitSet],
-    /// Per queue: dense-event membership mask.
-    queue_mask: Vec<BitSet>,
-    /// Per queue: send-site membership mask.
-    queue_send_mask: Vec<BitSet>,
-    /// `begin(e)` / `end(e)` node per dense event.
-    event_begin: Vec<NodeId>,
-    event_end: Vec<NodeId>,
-    /// Dense event → its (unique) posting send site, if any.
-    send_of_event: Vec<Option<u32>>,
-    /// Node → dense source marks for the three flow families.
-    begin_marks: Vec<Option<u32>>,
-    end_marks: Vec<Option<u32>>,
-    send_marks: Vec<Option<u32>>,
-}
-
-impl<'a> RuleCtx<'a> {
-    fn new(
-        g: &SyncGraph,
-        trace: &Trace,
-        table: &'a EventTable,
-        sends: &'a [SendSite],
-        access: &'a [BitSet],
-    ) -> Self {
-        let ev_count = table.len();
-        let mut queue_mask = vec![BitSet::new(ev_count); trace.queue_count()];
-        for (i, &q) in table.queue_of.iter().enumerate() {
-            queue_mask[q.index()].insert(i);
-        }
-        let mut queue_send_mask = vec![BitSet::new(sends.len()); trace.queue_count()];
-        for (i, s) in sends.iter().enumerate() {
-            queue_send_mask[s.queue.index()].insert(i);
-        }
-        let mut begin_marks: Vec<Option<u32>> = vec![None; g.node_count()];
-        let mut end_marks: Vec<Option<u32>> = vec![None; g.node_count()];
-        for (i, &e) in table.events.iter().enumerate() {
-            begin_marks[g.begin(e) as usize] = Some(i as u32);
-            end_marks[g.end(e) as usize] = Some(i as u32);
-        }
-        let event_begin: Vec<NodeId> = table.events.iter().map(|&e| g.begin(e)).collect();
-        let event_end: Vec<NodeId> = table.events.iter().map(|&e| g.end(e)).collect();
-        let mut send_marks: Vec<Option<u32>> = vec![None; g.node_count()];
-        let mut send_of_event: Vec<Option<u32>> = vec![None; ev_count];
-        for (i, s) in sends.iter().enumerate() {
-            send_marks[s.node as usize] = Some(i as u32);
-            // Each event is posted by at most one send (trace validation).
-            if let Some(d) = table.dense(s.event) {
-                send_of_event[d as usize] = Some(i as u32);
-            }
-        }
-        Self {
-            table,
-            sends,
-            access,
-            queue_mask,
-            queue_send_mask,
-            event_begin,
-            event_end,
-            send_of_event,
-            begin_marks,
-            end_marks,
-            send_marks,
-        }
-    }
-
-    /// The conflict gate on a dense event pair.
-    fn gate(&self, i: usize, j: usize) -> bool {
-        conflicts(self.access, self.table.events[i], self.table.events[j])
-    }
-}
-
-/// Round-start reachability facts.
-struct Rows {
-    acc_end: Vec<BitSet>,
-    acc_begin: Vec<BitSet>,
-    acc_send: Option<Vec<BitSet>>,
-}
-
-/// Round-local working-set scratch (the chain-folding discipline of the
-/// HB engine, without its memo/delta machinery).
-struct Scratch {
-    /// Saved working set per anchor that fired this round.
-    evord: Vec<BitSet>,
-    fired: Vec<u32>,
-    fired_mask: BitSet,
-    set: BitSet,
-    fresh: Vec<usize>,
-    empty: BitSet,
-    empty_send: BitSet,
-}
-
-impl Scratch {
-    fn new(ev_count: usize, send_count: usize) -> Self {
-        Self {
-            evord: vec![BitSet::new(0); ev_count],
-            fired: Vec::new(),
-            fired_mask: BitSet::new(ev_count),
-            set: BitSet::new(ev_count),
-            fresh: Vec::new(),
-            empty: BitSet::new(ev_count),
-            empty_send: BitSet::new(send_count),
-        }
-    }
-}
-
-/// Absorbs a fired conclusion `end(e_i1) → begin(e_j)` into the
-/// anchor's working set, folding `e_i1`'s own prior when it is ordered
-/// earlier this round — so an already-ordered chain materializes only
-/// its frontier edges instead of all O(n²) transitive pairs.
-#[allow(clippy::too_many_arguments)]
-fn absorb(
-    set: &mut BitSet,
-    evord: &[BitSet],
-    fired_mask: &BitSet,
-    empty: &BitSet,
-    rows: &Rows,
-    ctx: &RuleCtx<'_>,
-    order_pos: &[u32],
-    i1: usize,
-    j: usize,
-) {
-    set.insert(i1);
-    if order_pos[i1] >= order_pos[j] {
-        return;
-    }
-    // Folding i1's prior claims end(x) ≺ begin(i1) ≺ end(i1) ≺ begin(j);
-    // the middle link is i1's own begin→end chain, present once sealed.
-    if !rows.acc_begin[ctx.event_end[i1] as usize].contains(i1) {
-        return;
-    }
-    if fired_mask.contains(i1) {
-        set.union_with(&evord[i1]);
-        return;
-    }
-    set.union_with(&rows.acc_end[ctx.event_begin[i1] as usize]);
-    // i1's fired begin-predecessors: end(x) ≺ begin(k) ≺ begin(i1)
-    // ≺ end(i1) ≺ begin(j) for every x in their saved sets.
-    let row = &rows.acc_begin[ctx.event_begin[i1] as usize];
-    row.for_each_in_diff(fired_mask, empty, |k| {
-        set.union_with(&evord[k]);
-    });
-}
-
-/// One round of the conflict-gated rules over round-start facts: the
-/// atomicity rule and queue rules 1/3 at every anchor (event order),
-/// then the memo-less front-send rules 2/4. Identical premise and
-/// side-condition logic to the HB engine's round core; the only
-/// difference is the gate applied to each conclusion's event pair.
-fn run_round(
-    g: &mut SyncGraph,
-    ctx: &RuleCtx<'_>,
-    rows: &Rows,
-    anchors: &[u32],
-    positions: (&[u32], &[u32]),
-    sc: &mut Scratch,
-    stats: &mut PredictStats,
-) {
-    let (topo_pos, order_pos) = positions;
-    let Scratch {
-        evord,
-        fired,
-        fired_mask,
-        set,
-        fresh,
-        empty,
-        empty_send,
-    } = sc;
-    fired.clear();
-    fired_mask.clear();
-
-    for &j32 in anchors {
-        let j = j32 as usize;
-        let begin_j = ctx.event_begin[j];
-
-        // Working set: events whose end ≺ begin(e_j) at round start,
-        // plus this round's conclusions at begin-predecessors.
-        set.copy_from(&rows.acc_end[begin_j as usize]);
-        rows.acc_begin[begin_j as usize].for_each_in_diff(fired_mask, empty, |k| {
-            set.union_with(&evord[k]);
-        });
-        let mut anchor_fired = false;
-
-        // Atomicity rule: same-looper e1 with begin(e1) ≺ end(e_j).
-        {
-            let reach_end = &rows.acc_begin[ctx.event_end[j] as usize];
-            let mask = &ctx.queue_mask[ctx.table.queue_of[j].index()];
-            fresh.clear();
-            reach_end.for_each_in_diff(mask, empty, |i1| {
-                if i1 != j {
-                    fresh.push(i1);
-                }
-            });
-            stats.instances += fresh.len() as u64;
-            // Latest predecessors first, as in the HB engine: firing
-            // the nearest pair first lets its absorbed set imply the
-            // earlier ones, keeping materialized edges near-linear.
-            fresh.sort_by_key(|&i1| std::cmp::Reverse(topo_pos[ctx.event_begin[i1] as usize]));
-            for &i1 in fresh.iter() {
-                if set.contains(i1) {
-                    continue; // already implied
-                }
-                if !ctx.gate(i1, j) {
-                    stats.gated += 1;
-                    continue; // HB would order this pair; we drop it
-                }
-                if g.add_edge(g.end(ctx.table.events[i1]), begin_j, EdgeKind::Atomicity) {
-                    stats.derived_edges += 1;
-                    anchor_fired = true;
-                    absorb(set, evord, fired_mask, empty, rows, ctx, order_pos, i1, j);
-                }
-            }
-        }
-
-        // Queue rules 1 and 3, with e_j as the later-sent event.
-        if let (Some(acc_send), Some(sj)) = (rows.acc_send.as_ref(), ctx.send_of_event[j]) {
-            let sj = sj as usize;
-            let s2 = ctx.sends[sj];
-            if !s2.front {
-                let reach = &acc_send[s2.node as usize];
-                let mask = &ctx.queue_send_mask[s2.queue.index()];
-                fresh.clear();
-                reach.for_each_in_diff(mask, empty_send, |i| {
-                    if i != sj {
-                        fresh.push(i);
-                    }
-                });
-                stats.instances += fresh.len() as u64;
-                fresh.sort_by_key(|&i| {
-                    ctx.table
-                        .dense(ctx.sends[i].event)
-                        .map(|d| std::cmp::Reverse(topo_pos[ctx.event_begin[d as usize] as usize]))
-                        .unwrap_or(std::cmp::Reverse(0))
-                });
-                for &i in fresh.iter() {
-                    let s1 = &ctx.sends[i];
-                    if !(s1.front || s1.delay_ms <= s2.delay_ms) {
-                        continue;
-                    }
-                    let i1 = ctx.table.dense(s1.event).expect("sent tasks are events") as usize;
-                    if set.contains(i1) {
-                        continue; // already implied
-                    }
-                    if !ctx.gate(i1, j) {
-                        stats.gated += 1;
-                        continue;
-                    }
-                    let rule = if s1.front { 3u8 } else { 1 };
-                    if g.add_edge(g.end(s1.event), begin_j, EdgeKind::Queue(rule)) {
-                        stats.derived_edges += 1;
-                        anchor_fired = true;
-                        absorb(set, evord, fired_mask, empty, rows, ctx, order_pos, i1, j);
-                    }
-                }
-            }
-        }
-
-        if anchor_fired {
-            evord[j].copy_from(set);
-            fired_mask.insert(j);
-            fired.push(j32);
-        }
-    }
-
-    // Queue rules 2 and 4: a front-send s2 ordered after s1, with
-    // s2 ≺ begin(e1) — the conclusion reverses (e2 runs first).
-    if let Some(acc_send) = rows.acc_send.as_ref() {
-        for (j, s2) in ctx.sends.iter().enumerate() {
-            if !s2.front {
-                continue;
-            }
-            let reach = &acc_send[s2.node as usize];
-            let mask = &ctx.queue_send_mask[s2.queue.index()];
-            for i in reach.iter() {
-                if i == j || !mask.contains(i) {
-                    continue;
-                }
-                stats.instances += 1;
-                let s1 = &ctx.sends[i];
-                let begin_e1 = g.begin(s1.event);
-                if !acc_send[begin_e1 as usize].contains(j) {
-                    continue; // side condition s2 ≺ begin(e1) not met
-                }
-                let i1 = ctx.table.dense(s1.event).expect("sent tasks are events") as usize;
-                let i2 = ctx.table.dense(s2.event).expect("sent tasks are events") as usize;
-                if rows.acc_end[ctx.event_begin[i1] as usize].contains(i2)
-                    || (fired_mask.contains(i1) && evord[i1].contains(i2))
-                    || fired.iter().any(|&k| {
-                        rows.acc_begin[ctx.event_begin[i1] as usize].contains(k as usize)
-                            && evord[k as usize].contains(i2)
-                    })
-                {
-                    continue; // already implied
-                }
-                if !ctx.gate(i2, i1) {
-                    stats.gated += 1;
-                    continue;
-                }
-                let rule = if s1.front { 4u8 } else { 2 };
-                if g.add_edge(g.end(s2.event), begin_e1, EdgeKind::Queue(rule)) {
-                    stats.derived_edges += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The naive round loop: full flow sweeps, re-test every rule instance,
-/// stop when no new edge appears. Matches the HB reference engine's
-/// naive fixpoint structure; the conflict gate only removes firings,
-/// so convergence is inherited.
-fn fixpoint(
-    g: &mut SyncGraph,
-    trace: &Trace,
-    table: &EventTable,
-    sends: &[SendSite],
-    access: &[BitSet],
-    stats: &mut PredictStats,
-) -> Result<(), PredictError> {
-    let ev_count = table.len();
-    if ev_count == 0 {
-        g.topo_order()
-            .map_err(|nodes| PredictError::Hb(HbError::cyclic(g, &nodes)))?;
-        stats.rounds = 1;
-        return Ok(());
-    }
-    let ctx = RuleCtx::new(g, trace, table, sends, access);
-
-    let track_send = !sends.is_empty();
-    let mut topo_pos: Vec<u32> = vec![0; g.node_count()];
-    let mut event_order: Vec<u32> = (0..ev_count as u32).collect();
-    let mut order_pos: Vec<u32> = vec![0; ev_count];
-    let mut sc = Scratch::new(ev_count, sends.len());
-
-    loop {
-        stats.rounds += 1;
-        if stats.rounds > MAX_ROUNDS {
-            return Err(PredictError::Diverged {
-                rounds: stats.rounds - 1,
-            });
-        }
-        let topo = g
-            .topo_order()
-            .map_err(|nodes| PredictError::Hb(HbError::cyclic(g, &nodes)))?;
-
-        let acc_end = flow(g, &topo, &ctx.end_marks, ev_count);
-        let acc_begin = flow(g, &topo, &ctx.begin_marks, ev_count);
-        let acc_send = track_send.then(|| flow(g, &topo, &ctx.send_marks, sends.len()));
-
-        for (pos, &n) in topo.iter().enumerate() {
-            topo_pos[n as usize] = pos as u32;
-        }
-        event_order.sort_by_key(|&i| topo_pos[ctx.event_begin[i as usize] as usize]);
-        for (pos, &i) in event_order.iter().enumerate() {
-            order_pos[i as usize] = pos as u32;
-        }
-
-        let rows = Rows {
-            acc_end,
-            acc_begin,
-            acc_send,
-        };
-        let before = g.edge_log().len();
-        run_round(
-            g,
-            &ctx,
-            &rows,
-            &event_order,
-            (&topo_pos, &order_pos),
-            &mut sc,
-            stats,
-        );
-        if g.edge_log().len() == before {
-            return Ok(());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,6 +280,123 @@ mod tests {
         let m = PredictModel::build(&trace, 1).unwrap();
         assert!(m.concurrent(a1, a2), "disjoint FIFO pair decoupled");
         assert!(m.stats().gated >= 1);
+    }
+
+    /// The earlier-running event's access, the later one's access, and
+    /// the trace: `a` writes v0, `b` reads v0 when `shared`, else v1.
+    type Shape = (OpRef, OpRef, Trace);
+
+    /// Asserts that `shape(true)` orders its pair and `shape(false)`
+    /// leaves it concurrent with at least one gated conclusion.
+    fn assert_gated(rule: &str, shape: impl Fn(bool) -> Shape) {
+        let (a, b, trace) = shape(true);
+        let m = PredictModel::build(&trace, 1).unwrap();
+        assert!(m.happens_before(a, b), "{rule}: conflicting pair ordered");
+        assert!(m.stats().derived_edges >= 1, "{rule}");
+
+        let (a, b, trace) = shape(false);
+        let m = PredictModel::build(&trace, 1).unwrap();
+        assert!(m.concurrent(a, b), "{rule}: disjoint pair concurrent");
+        assert!(m.stats().gated >= 1, "{rule}: the gate refused it");
+    }
+
+    fn vars(shared: bool) -> (VarId, VarId) {
+        (VarId::new(0), VarId::new(if shared { 0 } else { 1 }))
+    }
+
+    /// Atomicity (Fig. 4a's shape): A forks T, T registers a listener
+    /// that B performs. A and B are posted from two unrelated threads,
+    /// and the accesses sit after the fork and before the perform, so
+    /// only the atomicity rule can order them.
+    #[test]
+    fn atomicity_rule_is_conflict_gated() {
+        assert_gated("atomicity", |shared| {
+            let (x, y) = vars(shared);
+            let mut b = TraceBuilder::new("fig4a");
+            let p = b.add_process();
+            let q = b.add_queue(p);
+            let (s1, s2) = (b.add_thread(p, "s1"), b.add_thread(p, "s2"));
+            let l = b.add_listener("android.view");
+            let ea = b.post(s1, q, "A", 0);
+            let eb = b.post(s2, q, "B", 0);
+            b.process_event(ea);
+            let t = b.fork(ea, p, "T");
+            let wa = b.write(ea, x);
+            b.register(t, l);
+            b.process_event(eb);
+            let rb = b.read(eb, y);
+            b.perform(eb, l);
+            (wa, rb, b.finish().unwrap())
+        });
+    }
+
+    /// Queue rule 2 (Fig. 4d): inside C, send(A) then sendAtFront(B);
+    /// B runs first, and the gate is asked (B, A). C and A share v2 so
+    /// that atomicity keeps C before A, the rule's side condition.
+    #[test]
+    fn queue_rule_2_is_conflict_gated() {
+        assert_gated("rule 2", |shared| {
+            let (x, y) = vars(shared);
+            let mut b = TraceBuilder::new("fig4d");
+            let p = b.add_process();
+            let q = b.add_queue(p);
+            let t = b.add_thread(p, "T");
+            let c = b.post(t, q, "C", 0);
+            b.process_event(c);
+            b.write(c, VarId::new(2));
+            let ea = b.post(c, q, "A", 0);
+            let eb = b.post_front(c, q, "B");
+            b.process_event(eb);
+            let wb = b.write(eb, x);
+            b.process_event(ea);
+            b.read(ea, VarId::new(2));
+            let ra = b.read(ea, y);
+            (wb, ra, b.finish().unwrap())
+        });
+    }
+
+    /// Queue rule 3: a front-send ordered before a later plain send
+    /// runs first, whatever the delay.
+    #[test]
+    fn queue_rule_3_is_conflict_gated() {
+        assert_gated("rule 3", |shared| {
+            let (x, y) = vars(shared);
+            let mut b = TraceBuilder::new("rule3");
+            let p = b.add_process();
+            let q = b.add_queue(p);
+            let t = b.add_thread(p, "T");
+            let ea = b.post_front(t, q, "A");
+            let eb = b.post(t, q, "B", 50);
+            b.process_event(ea);
+            let wa = b.write(ea, x);
+            b.process_event(eb);
+            let rb = b.read(eb, y);
+            (wa, rb, b.finish().unwrap())
+        });
+    }
+
+    /// Queue rule 4: of two front-sends inside C, the later one runs
+    /// first; the gate is asked (B, A). C and A share v2, as for rule 2.
+    #[test]
+    fn queue_rule_4_is_conflict_gated() {
+        assert_gated("rule 4", |shared| {
+            let (x, y) = vars(shared);
+            let mut b = TraceBuilder::new("rule4");
+            let p = b.add_process();
+            let q = b.add_queue(p);
+            let t = b.add_thread(p, "T");
+            let c = b.post(t, q, "C", 0);
+            b.process_event(c);
+            b.write(c, VarId::new(2));
+            let ea = b.post_front(c, q, "A");
+            let eb = b.post_front(c, q, "B");
+            b.process_event(eb);
+            let wb = b.write(eb, x);
+            b.process_event(ea);
+            b.read(ea, VarId::new(2));
+            let ra = b.read(ea, y);
+            (wb, ra, b.finish().unwrap())
+        });
     }
 
     /// Hard causality (post→begin) is never relaxed.

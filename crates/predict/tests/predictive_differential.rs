@@ -7,7 +7,10 @@
 //!   the observed-trace HB order: any pair the predictive relation
 //!   orders, HB orders the same way, and somewhere in the corpus the
 //!   containment is strict (the conflict gate actually dropped
-//!   orderings). The report-level corollary: every HB race appears in
+//!   orderings). HB here is `derive_naive`'s materialized relation,
+//!   the same loop the predictive order runs gated; the demand engine
+//!   that analysis queries is pinned to it by `cafa-hb`'s
+//!   `demand_differential`. The report-level corollary: every HB race appears in
 //!   the predictive section classified `both` — the weaker relation
 //!   cannot lose a race the stronger one found.
 //! * **Deterministic.** `--detector both` reports are byte-identical
@@ -24,10 +27,9 @@
 
 use std::sync::OnceLock;
 
-use cafa_core::{
-    AnalysisSession, Analyzer, DetectorConfig, DetectorKind, PredictClass, RaceReport,
-};
-use cafa_hb::{CausalityConfig, OpOrder};
+use cafa_core::{Analyzer, DetectorConfig, DetectorKind, PredictClass, RaceReport};
+use cafa_hb::bitset::BitSet;
+use cafa_hb::{base_graph, derive_naive, CausalityConfig, NodeId, SyncGraph};
 use cafa_predict::PredictModel;
 use cafa_trace::Trace;
 
@@ -65,14 +67,29 @@ fn both_config(threads: usize) -> DetectorConfig {
     config
 }
 
+/// The nodes reachable from `from` through at least one edge of `g`.
+fn reach_from(g: &SyncGraph, from: NodeId, seen: &mut BitSet) {
+    seen.clear();
+    let mut stack = vec![from];
+    while let Some(n) = stack.pop() {
+        for (s, _) in g.succs(n) {
+            if seen.insert(s as usize) {
+                stack.push(s);
+            }
+        }
+    }
+}
+
+/// The HB side is the naive reference derivation over the CAFA base,
+/// searched once per sampled source; `demand_differential` pins the
+/// demand engine that analysis queries to that same derivation.
 #[test]
 fn predictive_order_is_contained_in_hb_order() {
-    let mut gated_somewhere = 0u64;
+    let mut strict_witness = false;
     for (trace, _) in shared() {
-        let session = AnalysisSession::new(trace);
-        let hb = session
-            .model(CausalityConfig::cafa())
-            .expect("hb model builds");
+        let config = CausalityConfig::cafa();
+        let mut hb = base_graph(trace, &config);
+        derive_naive(&mut hb, trace, &config).expect("hb derivation converges");
         let predict = PredictModel::build(trace, 1).expect("predictive model builds");
 
         // Bounded deterministic sample: stride the op list so the
@@ -83,29 +100,35 @@ fn predictive_order_is_contained_in_hb_order() {
         let ops: Vec<_> = trace.iter_ops().map(|(at, _)| at).collect();
         let stride = (ops.len() / 160).max(1);
         let sample: Vec<_> = ops.into_iter().step_by(stride).collect();
+        let mut reach = BitSet::new(hb.node_count());
         for &a in &sample {
+            reach_from(&hb, hb.bracket_after(a), &mut reach);
             for &b in &sample {
                 if a == b {
                     continue;
                 }
+                let hb_before = if a.task == b.task {
+                    a.index < b.index
+                } else {
+                    reach.contains(hb.bracket_before(b) as usize)
+                };
                 if predict.happens_before(a, b) {
-                    assert_eq!(
-                        hb.order(a, b),
-                        OpOrder::Before,
+                    assert!(
+                        hb_before,
                         "{}: predictive orders {a} -> {b} but HB does not — \
                          the predictive relation must never invent orderings",
                         trace.meta().app
                     );
-                } else if hb.order(a, b) == OpOrder::Before {
+                } else if hb_before {
                     // HB orders it, predictive dropped it: the strict
                     // part of the containment.
-                    gated_somewhere += 1;
+                    strict_witness = true;
                 }
             }
         }
     }
     assert!(
-        gated_somewhere > 0,
+        strict_witness,
         "no pair anywhere in the corpus was HB-ordered but predictively \
          concurrent: the relation is not actually weaker"
     );
