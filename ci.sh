@@ -24,9 +24,8 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The workspace run includes every differential suite, each with fixed
-# seeds: cafa-hb's oracle_differential (oracle vs DFS),
-# demand_differential (lazy queries vs the naive reference) and
-# clocks_differential (clocks vs DFS); cafa-core's
+# seeds: cafa-hb's demand_differential (lazy queries vs the naive
+# reference) and clocks_differential (clocks vs DFS); cafa-core's
 # partition_differential (islanded vs monolithic); cafa-predict's
 # predictive_differential (predictive ⊆ HB); and cafa-trace's
 # decode_equivalence (every binary decode path and chunking).
@@ -37,8 +36,8 @@ echo "==> scale sweep smoke (demand engine, 100k tier)"
 ./target/release/analysis_scaling --scale --quick > /dev/null
 
 echo "==> fleet determinism (table1 at 1 vs 4 workers)"
-out1="$(CAFA_FLEET_THREADS=1 ./target/release/table1)"
-out4="$(CAFA_FLEET_THREADS=4 ./target/release/table1)"
+out1="$(CAFA_THREADS=1 ./target/release/table1)"
+out4="$(CAFA_THREADS=4 ./target/release/table1)"
 if [ "$out1" != "$out4" ]; then
     echo "FAIL: table1 output differs between 1 and 4 fleet workers" >&2
     exit 1
@@ -163,10 +162,24 @@ for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camer
     done
 done
 
+# The JSON report of trace $1 in the mode the remaining args name:
+# `serve [flags]` streams the trace through stdin serve; anything else
+# is passed to `analyze --format json`.
+report_json() { # args: trace, then analyze flags or `serve` + serve flags
+    local trace="$1"
+    shift
+    if [ "${1:-}" = serve ]; then
+        shift
+        ./target/release/cafa serve "$@" < "$trace"
+    else
+        ./target/release/cafa analyze "$trace" --format json "$@"
+    fi
+}
+
 echo "==> predictive report gate (10 apps + gen:7:0..4 under --detector both vs pinned reports)"
 # Pins every both-mode counter (rounds, derived_edges, gated,
 # external_edges, pairs_checked, filtered) and every predictive race,
-# at every thread count.
+# at every thread count and under --follow.
 for i in 0 1 2 3 4; do
     ./target/release/cafa record "gen:7:$i" --seed 7 --format binary \
         --out "$tmpdir/gen7_$i.bin" > /dev/null
@@ -174,18 +187,19 @@ done
 predictive_reports() { # args: extra analyze flags
     for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do
         echo "== $app"
-        ./target/release/cafa analyze "$tmpdir/$app.bin" --detector both --format json "$@"
+        report_json "$tmpdir/$app.bin" "$@" --detector both
     done
     for i in 0 1 2 3 4; do
         echo "== gen:7:$i"
-        ./target/release/cafa analyze "$tmpdir/gen7_$i.bin" --detector both --format json "$@"
+        report_json "$tmpdir/gen7_$i.bin" "$@" --detector both
     done
 }
-for threads in 1 2 8; do
-    predictive_reports --threads "$threads" > "$tmpdir/predictive.t$threads.txt"
-    if ! cmp -s "$tmpdir/predictive.t$threads.txt" tests/golden/predictive_reports.txt; then
-        echo "FAIL: both-mode reports differ from tests/golden/predictive_reports.txt at --threads $threads" >&2
-        diff tests/golden/predictive_reports.txt "$tmpdir/predictive.t$threads.txt" >&2 || true
+for mode in "--threads 1" "--threads 2" "--threads 8" "--follow"; do
+    # $mode is a list of flags: split it into words on purpose.
+    predictive_reports $mode > "$tmpdir/predictive.txt"
+    if ! cmp -s "$tmpdir/predictive.txt" tests/golden/predictive_reports.txt; then
+        echo "FAIL: both-mode reports differ from tests/golden/predictive_reports.txt under $mode" >&2
+        diff tests/golden/predictive_reports.txt "$tmpdir/predictive.txt" >&2 || true
         exit 1
     fi
 done
@@ -218,11 +232,14 @@ echo "==> conventional baseline gate (10 apps + scale corpus under --model conve
 # The conventional model reads the shared base through its own edge
 # kinds; pin its reports, and require every partition mode and thread
 # count to reproduce them byte-for-byte.
-conventional_reports() { # args: extra analyze flags
+conventional_app_reports() { # args: analyze flags, or `serve` + serve flags
     for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camera music; do
         echo "== $app"
-        ./target/release/cafa analyze "$tmpdir/$app.bin" --model conventional --format json "$@"
+        report_json "$tmpdir/$app.bin" "$@" --model conventional
     done
+}
+conventional_reports() { # args: extra analyze flags
+    conventional_app_reports "$@"
     echo "== scale:42:100000"
     ./target/release/cafa analyze "$tmpdir/scale42.bin" --model conventional "$@" | sed -n 1p
 }
@@ -241,6 +258,18 @@ for mode in off auto force; do
             exit 1
         fi
     done
+done
+# --follow and stdin serve print JSON only: they must reproduce the ten
+# app reports (the golden up to its text-mode scale line).
+sed '/^== scale:42:100000$/,$d' tests/golden/conventional_reports.txt > "$tmpdir/conventional.apps.txt"
+for mode in "--follow" "serve --chunk 13"; do
+    # $mode is a list of flags: split it into words on purpose.
+    conventional_app_reports $mode > "$tmpdir/conventional.mode.txt"
+    if ! cmp -s "$tmpdir/conventional.mode.txt" "$tmpdir/conventional.apps.txt"; then
+        echo "FAIL: conventional app reports differ under $mode" >&2
+        diff "$tmpdir/conventional.apps.txt" "$tmpdir/conventional.mode.txt" >&2 || true
+        exit 1
+    fi
 done
 
 echo "==> fleet ingest server gate (10 concurrent sessions at --threads 1/2/8)"

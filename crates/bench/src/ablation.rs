@@ -103,7 +103,7 @@ pub fn measure_app(app: &AppSpec, seed: u64) -> AblationRow {
 /// Measures all apps on the fleet, with per-app session stats.
 pub fn compute_stats(seed: u64) -> Vec<(AblationRow, SessionStats)> {
     let apps = all_apps();
-    fleet::map(&apps, fleet::default_threads(), |app| {
+    fleet::map(&apps, fleet::resolve_threads(0), |app| {
         measure_app_stats(app, seed)
     })
 }

@@ -142,7 +142,7 @@ fn main() {
         "\n## Analysis cost breakdown (per-pass wall time, all apps)\n"
     );
     let apps = cafa_apps::all_apps();
-    let measured = cafa_engine::fleet::map(&apps, cafa_engine::fleet::default_threads(), |app| {
+    let measured = cafa_engine::fleet::map(&apps, cafa_engine::fleet::resolve_threads(0), |app| {
         let trace = app.record(0).expect("records").trace.expect("instrumented");
         let session = cafa_engine::AnalysisSession::new(&trace);
         let report = cafa_core::Analyzer::new()

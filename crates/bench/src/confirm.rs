@@ -119,7 +119,7 @@ pub fn measure_app(app: &cafa_apps::AppSpec, budget: u64) -> ConfirmRow {
 /// Probes every app on the fleet; rows come back in app order.
 pub fn compute(budget: u64) -> Vec<ConfirmRow> {
     let apps = all_apps();
-    fleet::map(&apps, fleet::default_threads(), |app| {
+    fleet::map(&apps, fleet::resolve_threads(0), |app| {
         measure_app(app, budget)
     })
 }

@@ -63,7 +63,7 @@ pub fn measure_app(app: &AppSpec, reps: usize) -> Overhead {
 /// both sides; best-of-`reps` absorbs the rest of the noise.
 pub fn compute(reps: usize) -> Vec<Overhead> {
     let apps = all_apps();
-    fleet::map(&apps, fleet::default_threads(), |app| {
+    fleet::map(&apps, fleet::resolve_threads(0), |app| {
         measure_app(app, reps)
     })
 }

@@ -62,7 +62,7 @@ pub fn measure_app(app: &AppSpec, seed: u64) -> LowLevelRow {
 /// Measures all apps on the fleet; rows come back in app order.
 pub fn compute(seed: u64) -> Vec<LowLevelRow> {
     let apps = all_apps();
-    fleet::map(&apps, fleet::default_threads(), |app| {
+    fleet::map(&apps, fleet::resolve_threads(0), |app| {
         measure_app(app, seed)
     })
 }

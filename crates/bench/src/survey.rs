@@ -73,7 +73,7 @@ pub fn survey_app(app: &cafa_apps::AppSpec, schedules: usize) -> SurveyRow {
 /// Surveys every app on the fleet; rows come back in app order.
 pub fn compute(schedules: usize) -> Vec<SurveyRow> {
     let apps = all_apps();
-    fleet::map(&apps, fleet::default_threads(), |app| {
+    fleet::map(&apps, fleet::resolve_threads(0), |app| {
         survey_app(app, schedules)
     })
 }

@@ -124,7 +124,7 @@ pub fn measure_app(app: &AppSpec, seed: u64) -> Row {
 /// count.
 pub fn compute_stats(seed: u64) -> Vec<(AppSpec, Row, SessionStats)> {
     let apps = all_apps();
-    let rows = fleet::map(&apps, fleet::default_threads(), |app| {
+    let rows = fleet::map(&apps, fleet::resolve_threads(0), |app| {
         measure_app_stats(app, seed)
     });
     apps.into_iter()
@@ -288,7 +288,7 @@ pub fn main_both() {
         "{:<12} | {:>6} | {:>4} {:>4} | {:>5} {:>9} {:>4}",
         "App", "events", "hb", "pred", "extra", "confirmed", "fp"
     );
-    let rows = fleet::map(&all_apps(), fleet::default_threads(), |app| {
+    let rows = fleet::map(&all_apps(), fleet::resolve_threads(0), |app| {
         measure_both(app, 0)
     });
     let mut hb = 0;

@@ -33,7 +33,7 @@ USAGE:
         List the bundled application workloads and their Table 1 rows.
 
     cafa gen [--seed N] [--count N] [--size small|medium|large|mixed]
-             [--format summary|text|counts] [--detector hb|predictive|both]
+             [--format summary|text|counts] [--detector hb|both]
              [--out FILE] [--threads N]
         Generate a deterministic corpus of labeled app models from the
         pattern space (race kinds a/b/c, FP types I/II/III, filtered,
@@ -43,9 +43,9 @@ USAGE:
         back with identical lowering); counts records and analyzes
         every app and prints its report joined against the embedded
         ground truth — the format the CI golden file pins. --detector
-        predictive|both (counts only) also runs the predictive backend
-        on every app, adjudicates each predictive-only report by
-        replay, and appends pred_extra/pred_confirmed/pred_fp columns.
+        both (counts only) also runs the predictive backend on every
+        app, adjudicates each predictive-only report by replay, and
+        appends pred_extra/pred_confirmed/pred_fp columns.
         Same --seed/--count/--size produce byte-identical output on
         any machine at any --threads.
 
@@ -60,7 +60,7 @@ USAGE:
         instrumentation to the four framework packages of the paper
         (the Table 1 configuration).
 
-    cafa analyze <trace> [--detector hb|predictive|both]
+    cafa analyze <trace> [--detector hb|both]
                          [--model cafa|conventional|no-queue-rules]
                          [--no-if-guard] [--no-intra-alloc] [--no-lockset]
                          [--json | --format text|json] [--timings]
@@ -68,28 +68,27 @@ USAGE:
                          [--follow [--poll-ms N]]
         Run the race detector over a trace file (text or binary,
         auto-detected) and print the report. --detector hb (default)
-        runs the paper's happens-before pipeline alone; predictive
-        additionally builds the weaker predictive relation
-        (cafa-predict) over the same session; both does the same and
-        classifies every predictive report as both/predictive-only
-        against the HB report set. In text mode each predictive-only
-        report is then adjudicated: replayed through the directed →
-        guided → random ladder against the traced app's stress
-        variant (catalog and gen:<seed>:<index> traces) and printed
-        as a replay-confirmed witness or a counted false positive.
+        runs the paper's happens-before pipeline alone; both also
+        builds the weaker predictive relation (cafa-predict) over the
+        same session and classifies every predictive report as
+        both/predictive-only against the HB report set. In text mode
+        each predictive-only report is then adjudicated: replayed
+        through the directed → guided → random ladder against the
+        traced app's stress variant (catalog and gen:<seed>:<index>
+        traces) and printed as a replay-confirmed witness or a
+        counted false positive.
         The default backend's output is byte-identical to earlier
         releases. --json (or --format json) emits a stable
         machine-readable format; --timings adds a per-pass wall-time
         breakdown (extract, hb-build, candidates, filters,
         baseline-hb, classify, predict-build/predict-candidates and
-        adjudicate under a predictive detector, and — when
+        adjudicate under --detector both, and — when
         partitioned — partition/merge) and model-cache counters.
         --threads sets the worker count for every analysis pool: the
-        predictive relation's reachability index, the candidate pass,
-        and the island-partition fan-out (precedence: --threads,
-        then the CAFA_THREADS env var, then all cores); the report
-        is byte-identical at any setting. --partition controls
-        island partitioning: auto (default) splits multi-island
+        candidate pass and the island-partition fan-out (precedence:
+        --threads, then the CAFA_THREADS env var, then all cores);
+        the report is byte-identical at any setting. --partition
+        controls island partitioning: auto (default) splits multi-island
         traces above a size threshold into causally independent
         sub-traces analyzed concurrently, off forces the monolithic
         path, force partitions any multi-island trace — all three
@@ -264,7 +263,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
         ));
     }
     if detector.runs_predictive() && format != "counts" {
-        return Err("--detector predictive|both requires --format counts".to_owned());
+        return Err("--detector both requires --format counts".to_owned());
     }
 
     let catalog = GeneratedCatalog::new(GenConfig { seed, count, size });
@@ -310,7 +309,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
         }
         "counts" => {
             let specs = catalog.specs().map_err(|e| e.to_string())?;
-            let threads = cafa_hb::resolve_threads(threads);
+            let threads = cafa_engine::fleet::resolve_threads(threads);
             let mut config = DetectorConfig::cafa();
             config.detector = detector;
             // Compute in parallel, print in corpus order: the output
@@ -516,7 +515,7 @@ fn parse_threads(args: &mut Vec<String>) -> Result<usize, String> {
         .unwrap_or(0))
 }
 
-/// Pulls `--detector hb|predictive|both` out of `args` (default `hb`).
+/// Pulls `--detector hb|both` out of `args` (default `hb`).
 fn parse_detector(args: &mut Vec<String>) -> Result<cafa_core::DetectorKind, String> {
     Ok(opt_value(args, "--detector")?
         .map(|s| {
@@ -587,11 +586,6 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     config.detector = detector;
 
     let trace = if follow {
-        if detector.runs_predictive() {
-            return Err(format!(
-                "--follow only supports the hb backend (got --detector {detector})"
-            ));
-        }
         follow_trace(path, poll_ms)?
     } else {
         load_trace(path)?
@@ -845,7 +839,7 @@ fn cmd_validate(rest: &[String]) -> Result<(), String> {
     };
     let validations: Vec<AppValidation> = match args.as_slice() {
         [] => {
-            let threads = cafa_hb::resolve_threads(threads);
+            let threads = cafa_engine::fleet::resolve_threads(threads);
             validate_apps(&cfg, threads).map_err(|e| format!("validation failed: {e}"))?
         }
         [name] => {

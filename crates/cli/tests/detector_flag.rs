@@ -1,6 +1,6 @@
 //! End-to-end tests of `--detector`: backend selection, the typed
-//! error for unknown backends, and the replay adjudication of
-//! predictive-only reports.
+//! error for unknown backends, the both-mode report under `--follow`,
+//! and the replay adjudication of predictive-only reports.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -30,30 +30,50 @@ fn tmp(name: &str) -> PathBuf {
 fn unknown_detector_is_a_typed_error() {
     // `gen` and `analyze` share one parser: same message, exit 1. The
     // value is validated before the trace path is touched, so a
-    // nonexistent path never masks the message.
-    for args in [
-        &["analyze", "no-such.trace", "--detector", "bogus"][..],
-        &["gen", "--detector", "bogus"][..],
-    ] {
-        let out = cafa(args);
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert_eq!(
-            stderr(&out),
-            "error: bad detector `bogus` (valid backends: hb|predictive|both)\n",
-            "{args:?}"
-        );
+    // nonexistent path never masks the message. `predictive` was once
+    // a second spelling of `both`.
+    for value in ["bogus", "predictive"] {
+        for args in [
+            &["analyze", "no-such.trace", "--detector", value][..],
+            &["gen", "--detector", value][..],
+        ] {
+            let out = cafa(args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert_eq!(
+                stderr(&out),
+                format!("error: bad detector `{value}` (valid backends: hb|both)\n"),
+                "{args:?}"
+            );
+        }
     }
 }
 
+/// `--follow` finishes through the batch analyzer, so under
+/// `--detector both` it prints the batch both-mode JSON, predictive
+/// section included.
 #[test]
-fn follow_rejects_predictive_backends() {
-    let out = cafa(&["analyze", "--follow", "--detector", "both", "x.trace"]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(
-        err.contains("--follow only supports the hb backend"),
-        "{err}"
-    );
+fn follow_prints_the_batch_both_mode_json() {
+    let path = tmp("g70-follow.trace");
+    let file = path.to_str().unwrap();
+    let out = cafa(&["record", "gen:7:0", "--out", file]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let batch = cafa(&["analyze", file, "--detector", "both", "--format", "json"]);
+    assert!(batch.status.success(), "{}", stderr(&batch));
+    let expected = stdout(&batch);
+    assert!(expected.contains("\"predictive\""), "{expected}");
+
+    let follow = cafa(&[
+        "analyze",
+        file,
+        "--follow",
+        "--detector",
+        "both",
+        "--format",
+        "json",
+    ]);
+    assert!(follow.status.success(), "{}", stderr(&follow));
+    assert_eq!(stdout(&follow), expected);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -37,33 +37,27 @@ pub enum DetectorKind {
     /// backend existed.
     #[default]
     Hb,
-    /// Additionally build the predictive (weaker-than-HB) relation of
-    /// `cafa-predict` over the same session and attach its findings as
-    /// the report's predictive section.
-    Predictive,
-    /// Run both relations in one pass and classify every predictive
-    /// report as `both` or `predictive-only` against the HB report set
-    /// — the per-backend comparison mode. Computationally identical to
-    /// [`DetectorKind::Predictive`]; renderers may present the two
-    /// differently.
+    /// Also build the predictive (weaker-than-HB) relation of
+    /// `cafa-predict` over the same session, and attach its findings as
+    /// the report's predictive section, each classified `both` or
+    /// `predictive-only` against the HB report set.
     Both,
 }
 
 impl DetectorKind {
     /// The CLI spellings, in the order `--detector` documents them.
-    pub const VALID: [&'static str; 3] = ["hb", "predictive", "both"];
+    pub const VALID: [&'static str; 2] = ["hb", "both"];
 
-    /// Parses a CLI value (`hb` / `predictive` / `both`).
+    /// Parses a CLI value (`hb` / `both`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "hb" => Some(Self::Hb),
-            "predictive" => Some(Self::Predictive),
             "both" => Some(Self::Both),
             _ => None,
         }
     }
 
-    /// True when the predictive backend runs (`Predictive` or `Both`).
+    /// True when the predictive backend runs (`Both`).
     pub fn runs_predictive(self) -> bool {
         !matches!(self, Self::Hb)
     }
@@ -73,7 +67,6 @@ impl fmt::Display for DetectorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             DetectorKind::Hb => "hb",
-            DetectorKind::Predictive => "predictive",
             DetectorKind::Both => "both",
         };
         f.write_str(s)
@@ -103,10 +96,10 @@ pub struct DetectorConfig {
     /// implements the §6.3 suggestion of resolving the match precisely
     /// (trading those false positives for potential false negatives).
     pub drop_ambiguous_uses: bool,
-    /// Worker threads for the reachability index build, the candidate
-    /// pass, and the island-partitioned pipeline (`0` = auto:
-    /// `CAFA_THREADS`, else the machine's parallelism). Reports are
-    /// byte-identical at any setting; this only trades wall time.
+    /// Worker threads for the candidate pass and the
+    /// island-partitioned pipeline (`0` = auto: `CAFA_THREADS`, else
+    /// the machine's parallelism). Reports are byte-identical at any
+    /// setting; this only trades wall time.
     pub threads: usize,
     /// Island partitioning policy (see [`crate::PartitionMode`]):
     /// split the trace into causally independent sub-traces and
@@ -115,8 +108,8 @@ pub struct DetectorConfig {
     pub partition: PartitionMode,
     /// Which backend(s) run: the HB pipeline alone (default), or the
     /// HB pipeline plus the predictive relation of `cafa-predict`.
-    /// Non-default kinds force the monolithic path — the island fast
-    /// path only implements the HB pipeline.
+    /// `Both` forces the monolithic path — the island fast path only
+    /// implements the HB pipeline.
     pub detector: DetectorKind,
 }
 
@@ -360,14 +353,12 @@ impl Analyzer {
         // and the already-built HB model (for same-looper topology and
         // the both/predictive-only classification).
         let predictive = if self.config.detector.runs_predictive() {
-            let pmodel = passes.run("predict-build", || {
-                match PredictModel::build(trace, self.config.threads) {
-                    Ok(m) => {
-                        let edges = m.stats().derived_edges;
-                        (Ok(m), edges)
-                    }
-                    Err(e) => (Err(e), 0),
+            let pmodel = passes.run("predict-build", || match PredictModel::build(trace) {
+                Ok(m) => {
+                    let edges = m.stats().derived_edges;
+                    (Ok(m), edges)
                 }
+                Err(e) => (Err(e), 0),
             })?;
             let section = passes.run("predict-candidates", || {
                 let s = predictive_section(&self.config, ops, &model, &pmodel, trace, &races);
@@ -476,7 +467,7 @@ fn enumerate_candidates(
         truncated: bool,
     }
 
-    let threads = cafa_hb::resolve_threads(config.threads);
+    let threads = cafa_engine::fleet::resolve_threads(config.threads);
     let per_var = cafa_engine::fleet::map(&candidate_vars, threads, |&var| {
         let vo = ops.var_ops(var).expect("candidate var has ops");
         let mut found: Vec<Candidate> = Vec::new();
@@ -859,16 +850,13 @@ mod tests {
     /// `--detector` spellings round-trip; unknown values are rejected.
     #[test]
     fn detector_kind_parses_and_displays() {
-        for (s, k) in [
-            ("hb", DetectorKind::Hb),
-            ("predictive", DetectorKind::Predictive),
-            ("both", DetectorKind::Both),
-        ] {
+        for (s, k) in [("hb", DetectorKind::Hb), ("both", DetectorKind::Both)] {
             assert_eq!(DetectorKind::parse(s), Some(k));
             assert_eq!(k.to_string(), s);
             assert!(DetectorKind::VALID.contains(&s));
         }
         assert_eq!(DetectorKind::parse("wcp"), None);
+        assert_eq!(DetectorKind::parse("predictive"), None);
         assert_eq!(DetectorConfig::cafa().detector, DetectorKind::Hb);
         assert!(!DetectorKind::Hb.runs_predictive());
         assert!(DetectorKind::Both.runs_predictive());

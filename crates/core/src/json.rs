@@ -51,7 +51,7 @@ fn escape(s: &str) -> String {
 /// }
 /// ```
 ///
-/// Under `--detector predictive|both` a `"predictive"` object follows
+/// Under `--detector both` a `"predictive"` object follows
 /// `truncated_vars`: the predictive backend's races (each tagged
 /// `both` or `predictive-only`) and its fixpoint/enumeration stats.
 /// The default HB rendering is byte-for-byte unchanged.

@@ -149,7 +149,7 @@ pub(crate) fn try_partitioned(
         partition: PartitionMode::Off,
         ..config
     };
-    let threads = cafa_hb::resolve_threads(config.threads);
+    let threads = fleet::resolve_threads(config.threads);
     let results = fleet::map(&batches, threads, |tasks| {
         let projection = trace.project(tasks);
         let inner = AnalysisSession::new(&projection.trace);

@@ -103,7 +103,7 @@ pub struct PredictiveStats {
 }
 
 /// The predictive backend's findings, attached to a [`RaceReport`]
-/// when the detector runs with `--detector predictive|both`; `None`
+/// when the detector runs with `--detector both`; `None`
 /// under the default HB backend, keeping its output byte-identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PredictiveSection {
@@ -184,8 +184,7 @@ pub struct RaceReport {
     /// Run counters.
     pub stats: DetectStats,
     /// The predictive backend's findings; `None` unless the detector
-    /// ran with [`DetectorKind`](crate::DetectorKind) `Predictive` or
-    /// `Both`.
+    /// ran with [`DetectorKind::Both`](crate::DetectorKind::Both).
     pub predictive: Option<PredictiveSection>,
     /// Wall-clock analysis time.
     pub elapsed: Duration,

@@ -99,17 +99,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The worker count to use: `CAFA_FLEET_THREADS` when set and
-/// positive, otherwise the machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("CAFA_FLEET_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+/// Resolves a requested thread count: `0` means "auto" — the
+/// `CAFA_THREADS` environment variable if set to a positive integer,
+/// otherwise the machine's available parallelism.
+///
+/// This is **the** worker-count precedence order for every pool — the
+/// candidate pass, the island-partition fan-out, the per-app pools of
+/// `cafa gen --format counts` and `cafa validate`, the fleet server's
+/// shards, and the bench harnesses:
+///
+/// 1. an explicit request (`--threads N` with N > 0, or a config's
+///    `threads` field);
+/// 2. `CAFA_THREADS` (positive integer);
+/// 3. the machine's available parallelism.
+///
+/// Reports are byte-identical at any resolved count; the setting
+/// trades wall time only.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    if let Some(n) = std::env::var("CAFA_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+    {
+        return n;
+    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 #[cfg(test)]
@@ -151,8 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
+    fn resolved_threads_are_positive() {
+        assert!(resolve_threads(0) >= 1);
+        assert_eq!(resolve_threads(3), 3);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   observability behind `cafa analyze --timings`;
 //! * [`fleet`] — a deterministic `std::thread::scope` fan-out that
 //!   parallelizes per-app / per-config analyses while keeping output
-//!   byte-identical at any worker count.
+//!   byte-identical at any worker count, and the one worker-count
+//!   precedence every pool resolves through.
 //!
 //! # Examples
 //!

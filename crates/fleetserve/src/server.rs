@@ -53,8 +53,8 @@ pub struct ServerConfig {
     /// `detector.threads` at 1: sessions already run on shard
     /// workers, and reports are thread-count invariant.
     pub opts: StreamOptions,
-    /// Shard worker count; 0 means
-    /// [`fleet::default_threads`](cafa_engine::fleet::default_threads).
+    /// Shard worker count; 0 defers to
+    /// [`fleet::resolve_threads`](cafa_engine::fleet::resolve_threads).
     pub threads: usize,
     /// Journal directory. Enables eviction and crash-safe restart.
     pub state_dir: Option<PathBuf>,
@@ -222,11 +222,7 @@ impl Server {
             }
             None => None,
         };
-        let threads = if config.threads == 0 {
-            cafa_engine::fleet::default_threads()
-        } else {
-            config.threads
-        };
+        let threads = cafa_engine::fleet::resolve_threads(config.threads);
         let registry = Registry::new(threads, config.memory_budget);
         Ok(Self {
             listener,

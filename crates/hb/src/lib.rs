@@ -66,7 +66,6 @@ mod graph;
 mod locks;
 mod looper;
 mod model;
-pub mod oracle;
 mod rules;
 
 pub use build::{base_graph, HbBase};
@@ -76,7 +75,6 @@ pub use error::HbError;
 pub use graph::{EdgeKind, NodeId, NodeInfo, NodePoint, SyncGraph};
 pub use locks::LockSets;
 pub use model::{CauseStep, HbModel, OpOrder};
-pub use oracle::{resolve_threads, ReachOracle};
 #[doc(hidden)]
 pub use rules::derive_naive;
 pub use rules::{derive_gated, DerivationStats, EventTable};

@@ -609,6 +609,10 @@ pub fn derive_naive(
 /// gated rules, and that fixpoint is contained in the ungated one
 /// (`docs/FIXPOINT.md`). `cafa-predict` gates on a shared variable.
 ///
+/// On success `g` is acyclic (the last round began with a topological
+/// sort and added nothing) and compacted, so searches of it read flat
+/// adjacency rather than the overlay of added edges.
+///
 /// # Errors
 ///
 /// As [`derive_naive`].
@@ -622,6 +626,7 @@ pub fn derive_gated(
     let mut stats = DerivationStats::default();
     if !config.atomicity_rule && !config.queue_rules {
         g.topo_order().map_err(|nodes| HbError::cyclic(g, &nodes))?;
+        g.compact();
         stats.rounds = 1;
         return Ok(stats);
     }
@@ -698,10 +703,12 @@ pub fn derive_gated(
         );
         let log_after = g.edge_log().len();
         if log_after == log_before {
-            return Ok(stats);
+            break;
         }
         last_delta = (log_before, log_after);
     }
+    g.compact();
+    Ok(stats)
 }
 
 #[cfg(test)]

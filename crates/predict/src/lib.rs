@@ -28,6 +28,7 @@
 //! access bitmaps, the conflict-scoped external edges and the gate;
 //! `cafa_hb::derive_gated`, the loop behind the HB reference
 //! derivation, derives the gated atomicity and queue conclusions.
+//! Queries search the graph that loop leaves.
 //!
 //! Every fact of this relation is implied by the paper's model, so the
 //! predictive order is a subset of HB (`predictive ⊆ HB`, pinned by
@@ -53,10 +54,7 @@
 #![warn(missing_debug_implementations)]
 
 use cafa_hb::bitset::BitSet;
-use cafa_hb::{
-    base_graph, derive_gated, resolve_threads, CausalityConfig, EdgeKind, HbError, ReachOracle,
-    SyncGraph,
-};
+use cafa_hb::{base_graph, derive_gated, CausalityConfig, EdgeKind, HbError, SyncGraph};
 use cafa_trace::{OpRef, TaskId, Trace, VarId};
 
 /// Statistics about a completed predictive-model build.
@@ -75,12 +73,10 @@ pub struct PredictStats {
 }
 
 /// The predictive partial order over one trace, queryable per
-/// operation pair through the same chain-decomposition oracle the HB
-/// model uses.
+/// operation pair by a search of the graph [`derive_gated`] built.
 #[derive(Debug)]
 pub struct PredictModel {
     graph: SyncGraph,
-    oracle: ReachOracle,
     /// Per task: the variables its body accesses.
     access: Vec<BitSet>,
     stats: PredictStats,
@@ -89,16 +85,14 @@ pub struct PredictModel {
 impl PredictModel {
     /// Builds the predictive order for `trace`: hard base edges, the
     /// conflict-scoped external rule, then the §3.3 fixpoint of
-    /// [`derive_gated`] under the conflict gate, closed into a
-    /// [`ReachOracle`] using up to `threads` workers (0 = auto).
-    /// Deterministic at every thread count.
+    /// [`derive_gated`] under the conflict gate.
     ///
     /// # Errors
     ///
     /// [`HbError`] on malformed traces, a cyclic relation (impossible
     /// for recorded executions), or a fixpoint that exceeds its round
     /// limit.
-    pub fn build(trace: &Trace, threads: usize) -> Result<Self, HbError> {
+    pub fn build(trace: &Trace) -> Result<Self, HbError> {
         let mut config = CausalityConfig::cafa();
         config.external_rule = false;
         let mut g = base_graph(trace, &config);
@@ -118,12 +112,11 @@ impl PredictModel {
             }
         }
 
+        // `derive_gated` leaves the graph acyclic, so queries need no
+        // cycle check of their own.
         let derived = derive_gated(&mut g, trace, &config, |a, b| conflicts(&access, a, b))?;
-        let oracle = ReachOracle::build(&g, resolve_threads(threads))
-            .map_err(|nodes| HbError::cyclic(&g, &nodes))?;
         Ok(Self {
             graph: g,
-            oracle,
             access,
             stats: PredictStats {
                 external_edges,
@@ -136,14 +129,22 @@ impl PredictModel {
 
     /// Does `a` happen before `b` under the predictive order? Same-task
     /// operations follow program order; cross-task pairs are bracketed
-    /// to their surrounding sync nodes and answered by the oracle —
-    /// the exact query discipline of `HbModel::happens_before`.
+    /// to their surrounding sync nodes, the query discipline of
+    /// `HbModel::happens_before`, and answered by a depth-first search
+    /// of the graph. The detector asks this only of its candidate
+    /// pairs, and a search reads only the source's forward cone.
     pub fn happens_before(&self, a: OpRef, b: OpRef) -> bool {
         if a.task == b.task {
             return a.index < b.index;
         }
-        self.oracle
-            .reaches(self.graph.bracket_after(a), self.graph.bracket_before(b))
+        // Each call owns its scratch: the candidate pass asks from
+        // several workers at once.
+        let mut seen = BitSet::new(self.graph.node_count());
+        self.graph.reaches(
+            self.graph.bracket_after(a),
+            self.graph.bracket_before(b),
+            &mut seen,
+        )
     }
 
     /// True when neither operation is predictive-ordered before the
@@ -177,6 +178,12 @@ impl PredictModel {
     /// Build statistics.
     pub fn stats(&self) -> PredictStats {
         self.stats
+    }
+
+    /// The predictive sync graph: base edges, the conflict-scoped
+    /// external edges and every gated rule conclusion.
+    pub fn graph(&self) -> &SyncGraph {
+        &self.graph
     }
 }
 
@@ -232,7 +239,7 @@ mod tests {
         let u3 = b.read(t3, lonely);
         let trace = b.finish().unwrap();
 
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(
             m.happens_before(u1, u2),
             "conflicting gestures stay ordered"
@@ -261,7 +268,7 @@ mod tests {
         let a1 = b.write(e1, shared);
         let a2 = b.read(e2, shared);
         let trace = b.finish().unwrap();
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(m.happens_before(a1, a2), "conflicting FIFO pair kept");
         assert!(m.stats().derived_edges >= 1);
 
@@ -277,7 +284,7 @@ mod tests {
         let a1 = b.write(e1, shared);
         let a2 = b.read(e2, other);
         let trace = b.finish().unwrap();
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(m.concurrent(a1, a2), "disjoint FIFO pair decoupled");
         assert!(m.stats().gated >= 1);
     }
@@ -290,12 +297,12 @@ mod tests {
     /// leaves it concurrent with at least one gated conclusion.
     fn assert_gated(rule: &str, shape: impl Fn(bool) -> Shape) {
         let (a, b, trace) = shape(true);
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(m.happens_before(a, b), "{rule}: conflicting pair ordered");
         assert!(m.stats().derived_edges >= 1, "{rule}");
 
         let (a, b, trace) = shape(false);
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(m.concurrent(a, b), "{rule}: disjoint pair concurrent");
         assert!(m.stats().gated >= 1, "{rule}: the gate refused it");
     }
@@ -412,8 +419,33 @@ mod tests {
         b.process_event(e);
         let r = b.read(e, v);
         let trace = b.finish().unwrap();
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(m.happens_before(w, r));
+    }
+
+    /// Crossed notify/wait generations: each thread waits for what the
+    /// other notifies only after its own wait, so the base edges alone
+    /// close a cycle and the build rejects the trace.
+    #[test]
+    fn cyclic_trace_is_rejected() {
+        use cafa_trace::MonitorId;
+        let mut b = TraceBuilder::new("cyclic");
+        let p = b.add_process();
+        let (ta, tb) = (b.add_thread(p, "a"), b.add_thread(p, "b"));
+        let m = MonitorId::new(0);
+        b.wait(ta, m, 2);
+        b.notify(ta, m, 1);
+        b.wait(tb, m, 1);
+        b.notify(tb, m, 2);
+        let trace = b.finish().unwrap();
+        let err = PredictModel::build(&trace).unwrap_err();
+        assert!(matches!(err, HbError::CyclicHappensBefore { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "happens-before relation is cyclic (6 nodes in cycles, at t0@record0, \
+             t0@record1, t0@end, t1@record0, t1@record1, t1@end); the trace is not \
+             consistent with any real execution"
+        );
     }
 
     /// The lockset relaxation: conflict beyond the racing variable.
@@ -429,7 +461,7 @@ mod tests {
         b.write(t2, ptr);
         b.write(t1, flag);
         let trace = b.finish().unwrap();
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(
             !m.tasks_conflict_besides(t1, t2, ptr),
             "only the pair's var"
@@ -444,7 +476,7 @@ mod tests {
         b.write(t1, flag);
         b.write(t2, flag);
         let trace = b.finish().unwrap();
-        let m = PredictModel::build(&trace, 1).unwrap();
+        let m = PredictModel::build(&trace).unwrap();
         assert!(
             m.tasks_conflict_besides(t1, t2, ptr),
             "flag conflicts beyond ptr"

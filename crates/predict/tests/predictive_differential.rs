@@ -80,9 +80,16 @@ fn reach_from(g: &SyncGraph, from: NodeId, seen: &mut BitSet) {
     }
 }
 
+/// Every `MODEL_STRIDE`-th sampled source also asks
+/// `PredictModel::happens_before` about each of its pairs.
+const MODEL_STRIDE: usize = 16;
+
 /// The HB side is the naive reference derivation over the CAFA base,
 /// searched once per sampled source; `demand_differential` pins the
-/// demand engine that analysis queries to that same derivation.
+/// demand engine that analysis queries to that same derivation. The
+/// predictive side is searched the same way over the model's graph,
+/// and `happens_before` must agree with that search on a fixed subset
+/// of sources.
 #[test]
 fn predictive_order_is_contained_in_hb_order() {
     let mut strict_witness = false;
@@ -90,7 +97,8 @@ fn predictive_order_is_contained_in_hb_order() {
         let config = CausalityConfig::cafa();
         let mut hb = base_graph(trace, &config);
         derive_naive(&mut hb, trace, &config).expect("hb derivation converges");
-        let predict = PredictModel::build(trace, 1).expect("predictive model builds");
+        let predict = PredictModel::build(trace).expect("predictive model builds");
+        let pg = predict.graph();
 
         // Bounded deterministic sample: stride the op list so the
         // quadratic sweep stays small — the invariant is per-pair, so
@@ -101,18 +109,33 @@ fn predictive_order_is_contained_in_hb_order() {
         let stride = (ops.len() / 160).max(1);
         let sample: Vec<_> = ops.into_iter().step_by(stride).collect();
         let mut reach = BitSet::new(hb.node_count());
-        for &a in &sample {
+        let mut preach = BitSet::new(pg.node_count());
+        for (i, &a) in sample.iter().enumerate() {
             reach_from(&hb, hb.bracket_after(a), &mut reach);
+            reach_from(pg, pg.bracket_after(a), &mut preach);
             for &b in &sample {
                 if a == b {
                     continue;
                 }
-                let hb_before = if a.task == b.task {
-                    a.index < b.index
+                let program_order = a.index < b.index;
+                let (hb_before, predict_before) = if a.task == b.task {
+                    (program_order, program_order)
                 } else {
-                    reach.contains(hb.bracket_before(b) as usize)
+                    (
+                        reach.contains(hb.bracket_before(b) as usize),
+                        preach.contains(pg.bracket_before(b) as usize),
+                    )
                 };
-                if predict.happens_before(a, b) {
+                if i % MODEL_STRIDE == 0 {
+                    assert_eq!(
+                        predict.happens_before(a, b),
+                        predict_before,
+                        "{}: happens_before({a}, {b}) disagrees with a search of the \
+                         predictive graph",
+                        trace.meta().app
+                    );
+                }
+                if predict_before {
                     assert!(
                         hb_before,
                         "{}: predictive orders {a} -> {b} but HB does not — \

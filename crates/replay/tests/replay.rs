@@ -82,7 +82,7 @@ fn catalog_sweep_confirms_every_oracle_true_race_and_no_benign_one() {
         guided_attempts: 4,
         minimize: false,
     };
-    let validations = validate_apps(&cfg, cafa_engine::fleet::default_threads())
+    let validations = validate_apps(&cfg, cafa_engine::fleet::resolve_threads(0))
         .expect("catalog validates clean");
     for validation in &validations {
         for race in &validation.races {

@@ -31,7 +31,7 @@ fn corpus_score() -> Score {
         ..GenConfig::default()
     });
     assert_eq!(models.len(), COUNT);
-    let scores = fleet::map(&models, fleet::default_threads(), |model| {
+    let scores = fleet::map(&models, fleet::resolve_threads(0), |model| {
         let app = cafa_model::lower(model).expect("generated models are valid");
         let outcome = app.record(SEED).expect("generated workloads run clean");
         let trace = outcome.trace.expect("instrumentation is on");
