@@ -179,7 +179,8 @@ report_json() { # args: trace, then analyze flags or `serve` + serve flags
 echo "==> predictive report gate (10 apps + gen:7:0..4 under --detector both vs pinned reports)"
 # Pins every both-mode counter (rounds, derived_edges, gated,
 # external_edges, pairs_checked, filtered) and every predictive race,
-# at every thread count and under --follow.
+# at every thread count, under --partition off and force, and under
+# --follow.
 for i in 0 1 2 3 4; do
     ./target/release/cafa record "gen:7:$i" --seed 7 --format binary \
         --out "$tmpdir/gen7_$i.bin" > /dev/null
@@ -194,7 +195,8 @@ predictive_reports() { # args: extra analyze flags
         report_json "$tmpdir/gen7_$i.bin" "$@" --detector both
     done
 }
-for mode in "--threads 1" "--threads 2" "--threads 8" "--follow"; do
+for mode in "--threads 1" "--threads 2" "--threads 8" "--partition off" "--partition force" \
+    "--follow"; do
     # $mode is a list of flags: split it into words on purpose.
     predictive_reports $mode > "$tmpdir/predictive.txt"
     if ! cmp -s "$tmpdir/predictive.txt" tests/golden/predictive_reports.txt; then
@@ -202,6 +204,24 @@ for mode in "--threads 1" "--threads 2" "--threads 8" "--follow"; do
         diff tests/golden/predictive_reports.txt "$tmpdir/predictive.txt" >&2 || true
         exit 1
     fi
+done
+
+echo "==> both-mode island gate (scale:42:20000 under --detector both: off/auto/force at --threads 1/2/8)"
+# One island holds nearly all of each catalog app; this trace has many,
+# so each batch packs several and the predictive section (gated
+# included) must merge back to the monolithic bytes.
+./target/release/cafa record scale:42:20000 --format binary --out "$tmpdir/scale42_20k.bin" > /dev/null
+./target/release/cafa analyze "$tmpdir/scale42_20k.bin" --format json --detector both \
+    --partition off > "$tmpdir/scale42_20k.off.json"
+for mode in off auto force; do
+    for threads in 1 2 8; do
+        ./target/release/cafa analyze "$tmpdir/scale42_20k.bin" --format json --detector both \
+            --partition "$mode" --threads "$threads" > "$tmpdir/scale42_20k.json"
+        if ! cmp -s "$tmpdir/scale42_20k.off.json" "$tmpdir/scale42_20k.json"; then
+            echo "FAIL: scale:42:20000 both-mode report under --partition $mode differs at --threads $threads" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "==> island partition gate (scale corpus: auto/force vs monolithic at --threads 1/2/8)"

@@ -90,13 +90,13 @@ USAGE:
         the report is byte-identical at any setting. --partition
         controls island partitioning: auto (default) splits multi-island
         traces above a size threshold into causally independent
-        sub-traces analyzed concurrently, off forces the monolithic
-        path, force partitions any multi-island trace — all three
-        produce byte-identical reports. --follow tails a growing
-        trace file, decoding records as they arrive (polling every
-        --poll-ms, default 50) until the trace's end marker, then
-        analyzes it exactly like a batch analyze of the completed
-        file (same report, same --timings breakdown).
+        sub-traces analyzed concurrently, off analyzes the whole trace
+        as one, force partitions any multi-island trace — all three
+        produce byte-identical reports, for either --detector backend.
+        --follow tails a growing trace file, decoding records as they
+        arrive (polling every --poll-ms, default 50) until the trace's
+        end marker, then analyzes it exactly like a batch analyze of
+        the completed file (same report, same --timings breakdown).
 
     cafa validate [app] [--budget N] [--directed N] [--guided N]
                   [--minimize] [--threads N] [--format text|json|counts]

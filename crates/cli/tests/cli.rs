@@ -492,6 +492,8 @@ fn derived_cycle_trace(filler: Filler) -> cafa_trace::Trace {
 /// path, the monolithic and forced-island paths, `--follow` and
 /// `serve`, with and without a filler island that makes the default
 /// path partition: every mode names the same nodes of the source trace.
+/// `--detector both` names the cycle the HB queries found, too, before
+/// the predictive backend builds its own relation.
 #[test]
 fn derived_cycle_is_rejected_in_every_mode() {
     for filler in [Filler::None, Filler::First, Filler::Last] {
@@ -515,6 +517,26 @@ fn derived_cycle_is_rejected_in_every_mode() {
                 ),
                 ("--follow", cafa(&["analyze", file, "--follow"])),
                 ("serve", serve_stdin_output(&[], &bytes)),
+                ("both", cafa(&["analyze", file, "--detector", "both"])),
+                (
+                    "both --partition off",
+                    cafa(&["analyze", file, "--detector", "both", "--partition", "off"]),
+                ),
+                (
+                    "both --partition force",
+                    cafa(&[
+                        "analyze",
+                        file,
+                        "--detector",
+                        "both",
+                        "--partition",
+                        "force",
+                    ]),
+                ),
+                (
+                    "both --follow",
+                    cafa(&["analyze", file, "--detector", "both", "--follow"]),
+                ),
             ];
             let mut first: Option<String> = None;
             for (mode, out) in runs {

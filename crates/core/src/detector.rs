@@ -108,8 +108,6 @@ pub struct DetectorConfig {
     pub partition: PartitionMode,
     /// Which backend(s) run: the HB pipeline alone (default), or the
     /// HB pipeline plus the predictive relation of `cafa-predict`.
-    /// `Both` forces the monolithic path — the island fast path only
-    /// implements the HB pipeline.
     pub detector: DetectorKind,
 }
 
@@ -253,12 +251,9 @@ impl Analyzer {
         // Multi-island traces can take the partitioned path: analyze
         // each causally independent sub-trace on its own worker, then
         // merge back into the monolithic order (byte-identical JSON;
-        // see `crate::partition`). The island fast path implements the
-        // HB pipeline only; predictive runs stay monolithic.
-        if self.config.detector == DetectorKind::Hb {
-            if let Some(report) = crate::partition::try_partitioned(self, session)? {
-                return Ok(report);
-            }
+        // see `crate::partition`).
+        if let Some(report) = crate::partition::try_partitioned(self, session)? {
+            return Ok(report);
         }
 
         let trace = session.trace();
@@ -299,7 +294,7 @@ impl Analyzer {
             let mut filtered: Vec<FilteredCandidate> = Vec::new();
             let mut survivors: Vec<Candidate> = Vec::new();
             for c in candidates {
-                match self.filter_reason(trace, &model, &locks, ops, &c.use_site, &c.free_site) {
+                match filter_reason(&self.config, &model, &locks, ops, &c, || true) {
                     Some(reason) => filtered.push(FilteredCandidate {
                         var: c.var,
                         use_site: c.use_site,
@@ -348,6 +343,9 @@ impl Analyzer {
             let count = races.len();
             (races, count)
         });
+        // The last HB query has run (the predictive passes ask only
+        // `same_looper`): fail if the queries derived a cycle.
+        model.check()?;
 
         // The predictive backend, sharing the session's extracted ops
         // and the already-built HB model (for same-looper topology and
@@ -369,9 +367,6 @@ impl Analyzer {
         } else {
             None
         };
-        // The last happens-before query has run: no answer above may
-        // come from a relation the queries found cyclic.
-        model.check()?;
 
         stats.passes = passes;
         Ok(RaceReport {
@@ -383,40 +378,44 @@ impl Analyzer {
             elapsed: start.elapsed(),
         })
     }
+}
 
-    fn filter_reason(
-        &self,
-        _trace: &Trace,
-        model: &HbModel,
-        locks: &LockSets,
-        ops: &MemoryOps,
-        use_site: &UseSite,
-        free_site: &FreeSite,
-    ) -> Option<FilterReason> {
-        if self.config.lockset_filter && locks.common(use_site.at, free_site.at).is_some() {
-            return Some(FilterReason::CommonLock);
-        }
-        // The if-guard and intra-event-allocation heuristics rely on
-        // event atomicity: "only applicable to events that are sent to
-        // the same event queue and processed by the same looper thread"
-        // (§4.3).
-        let same_looper = model.same_looper(use_site.at.task, free_site.at.task);
-        if !same_looper {
-            return None;
-        }
-        if self.config.intra_event_alloc {
-            if alloc_before_use(ops, use_site) {
-                return Some(FilterReason::AllocBeforeUse);
-            }
-            if alloc_after_free(ops, free_site) {
-                return Some(FilterReason::AllocAfterFree);
-            }
-        }
-        if self.config.if_guard && if_guarded(ops, use_site) {
-            return Some(FilterReason::IfGuard);
-        }
-        None
+/// The filter step of both backends: the heuristic that suppresses a
+/// candidate, or `None`. A common monitor counts only when `lock_orders`
+/// agrees that it orders the two critical sections: always for HB
+/// (`|| true`), for the predictive backend only when the tasks conflict
+/// beyond the racing variable.
+fn filter_reason(
+    config: &DetectorConfig,
+    model: &HbModel,
+    locks: &LockSets,
+    ops: &MemoryOps,
+    c: &Candidate,
+    lock_orders: impl FnOnce() -> bool,
+) -> Option<FilterReason> {
+    let (use_site, free_site) = (&c.use_site, &c.free_site);
+    if config.lockset_filter && locks.common(use_site.at, free_site.at).is_some() && lock_orders() {
+        return Some(FilterReason::CommonLock);
     }
+    // The if-guard and intra-event-allocation heuristics rely on
+    // event atomicity: "only applicable to events that are sent to
+    // the same event queue and processed by the same looper thread"
+    // (§4.3).
+    if !model.same_looper(use_site.at.task, free_site.at.task) {
+        return None;
+    }
+    if config.intra_event_alloc {
+        if alloc_before_use(ops, use_site) {
+            return Some(FilterReason::AllocBeforeUse);
+        }
+        if alloc_after_free(ops, free_site) {
+            return Some(FilterReason::AllocAfterFree);
+        }
+    }
+    if config.if_guard && if_guarded(ops, use_site) {
+        return Some(FilterReason::IfGuard);
+    }
+    None
 }
 
 /// A deduplicated, unordered (use, free) pair awaiting filtering and
@@ -529,18 +528,13 @@ fn enumerate_candidates(
 }
 
 /// The `predict-candidates` pass: the pairs the predictive order leaves
-/// concurrent ([`enumerate_candidates`]), filtered by the predictive
-/// filter discipline and classified against the HB report set, in
-/// enumeration order.
-///
-/// Filtering differs from the HB pipeline in exactly one rule: a common
-/// monitor suppresses a pair only when the two tasks also conflict on
-/// state *beyond* the racing variable
-/// ([`PredictModel::tasks_conflict_besides`]) — a lock whose sections
+/// concurrent ([`enumerate_candidates`]), filtered by [`filter_reason`]
+/// and classified against the HB report set, in enumeration order. A
+/// common monitor suppresses a pair only when the two tasks also
+/// conflict beyond the racing variable
+/// ([`PredictModel::tasks_conflict_besides`]): a lock whose sections
 /// touch only the racing pointer does not pin their order, so the pair
-/// stays reportable and replay adjudicates. The same-looper if-guard
-/// and intra-event-allocation heuristics apply unchanged: they reason
-/// about event atomicity, which the predictive relation preserves.
+/// stays reportable and replay adjudicates.
 fn predictive_section(
     config: &DetectorConfig,
     ops: &MemoryOps,
@@ -567,7 +561,10 @@ fn predictive_section(
     let locks = LockSets::new(trace);
     let mut races: Vec<PredictiveRace> = Vec::new();
     for c in candidates.found {
-        if predictive_filtered(config, model, pmodel, &locks, ops, &c) {
+        let reason = filter_reason(config, model, &locks, ops, &c, || {
+            pmodel.tasks_conflict_besides(c.use_site.at.task, c.free_site.at.task, c.var)
+        });
+        if reason.is_some() {
             stats.filtered += 1;
             continue;
         }
@@ -584,34 +581,6 @@ fn predictive_section(
         });
     }
     PredictiveSection { races, stats }
-}
-
-/// The predictive filter discipline for one predictively-concurrent
-/// pair (see [`predictive_section`]).
-fn predictive_filtered(
-    config: &DetectorConfig,
-    model: &HbModel,
-    pmodel: &PredictModel,
-    locks: &LockSets,
-    ops: &MemoryOps,
-    c: &Candidate,
-) -> bool {
-    let (use_site, free_site) = (&c.use_site, &c.free_site);
-    if config.lockset_filter
-        && locks.common(use_site.at, free_site.at).is_some()
-        && pmodel.tasks_conflict_besides(use_site.at.task, free_site.at.task, c.var)
-    {
-        return true;
-    }
-    if !model.same_looper(use_site.at.task, free_site.at.task) {
-        return false;
-    }
-    if config.intra_event_alloc
-        && (alloc_before_use(ops, use_site) || alloc_after_free(ops, free_site))
-    {
-        return true;
-    }
-    config.if_guard && if_guarded(ops, use_site)
 }
 
 /// The `classify` step for one surviving candidate: relate it to the

@@ -40,6 +40,12 @@
 //! pair cap are variable-scoped, and `candidate_vars` partitions across
 //! batches. The JSON report contains none of the wall times, so
 //! equality holds at the byte level.
+//!
+//! The predictive section of `--detector both` merges by the same
+//! facts: its races are enumerated per variable too. Islands share no
+//! node, so each runs the same `derive_gated` rounds inside a batch as
+//! inside the whole trace: `rounds` is the max over batches, and every
+//! other counter (`gated` counts refusals at the fixpoint) is a sum.
 
 use std::time::Instant;
 
@@ -48,7 +54,8 @@ use cafa_hb::HbError;
 use cafa_trace::{Projection, TaskId};
 
 use crate::detector::{Analyzer, DetectorConfig};
-use crate::report::{DetectStats, RaceReport};
+use crate::report::{DetectStats, PredictiveSection, RaceReport};
+use crate::usefree::{FreeSite, UseSite};
 
 /// When the detector splits a trace into islands.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -178,6 +185,7 @@ pub(crate) fn try_partitioned(
     };
     let mut races = Vec::new();
     let mut filtered = Vec::new();
+    let mut predictive = None;
     let merge_start = Instant::now();
     for report in reports {
         stats.candidate_vars += report.stats.candidate_vars;
@@ -190,12 +198,27 @@ pub(crate) fn try_partitioned(
         }
         races.extend(report.races);
         filtered.extend(report.filtered);
+        if let Some(section) = report.predictive {
+            let merged = predictive.get_or_insert_with(PredictiveSection::default);
+            let (m, s) = (&mut merged.stats, section.stats);
+            m.rounds = m.rounds.max(s.rounds);
+            m.derived_edges += s.derived_edges;
+            m.gated += s.gated;
+            m.external_edges += s.external_edges;
+            m.pairs_checked += s.pairs_checked;
+            m.filtered += s.filtered;
+            m.truncated_vars += s.truncated_vars;
+            merged.races.extend(section.races);
+        }
     }
     // Stable: within one variable (always one batch) the findings are
     // already in monolithic enumeration order.
     races.sort_by_key(|r| r.var);
     filtered.sort_by_key(|f| f.var);
     stats.truncated_vars.sort_unstable();
+    if let Some(p) = &mut predictive {
+        p.races.sort_by_key(|r| r.var);
+    }
     passes.accumulate("merge", merge_start.elapsed(), races.len() + filtered.len());
 
     stats.passes = passes;
@@ -204,9 +227,7 @@ pub(crate) fn try_partitioned(
         races,
         filtered,
         stats,
-        // Only reached under the default HB detector (`analyze_with`
-        // keeps predictive runs monolithic).
-        predictive: None,
+        predictive,
         elapsed: start.elapsed(),
     }))
 }
@@ -241,15 +262,19 @@ fn plan_batches(partition: &TracePartition, max_batches: usize) -> Vec<Vec<TaskI
 /// coordinates. Variables, program counters, and classes are
 /// projection-invariant; only task ids moved.
 fn unproject_report(mut report: RaceReport, projection: &Projection) -> RaceReport {
-    for race in &mut report.races {
-        race.use_site.at = projection.unproject(race.use_site.at);
-        race.use_site.deref_at = projection.unproject(race.use_site.deref_at);
-        race.free_site.at = projection.unproject(race.free_site.at);
+    let unproject = |use_site: &mut UseSite, free_site: &mut FreeSite| {
+        use_site.at = projection.unproject(use_site.at);
+        use_site.deref_at = projection.unproject(use_site.deref_at);
+        free_site.at = projection.unproject(free_site.at);
+    };
+    for r in &mut report.races {
+        unproject(&mut r.use_site, &mut r.free_site);
     }
-    for candidate in &mut report.filtered {
-        candidate.use_site.at = projection.unproject(candidate.use_site.at);
-        candidate.use_site.deref_at = projection.unproject(candidate.use_site.deref_at);
-        candidate.free_site.at = projection.unproject(candidate.free_site.at);
+    for c in &mut report.filtered {
+        unproject(&mut c.use_site, &mut c.free_site);
+    }
+    for r in report.predictive.iter_mut().flat_map(|p| &mut p.races) {
+        unproject(&mut r.use_site, &mut r.free_site);
     }
     report
 }
@@ -257,6 +282,7 @@ fn unproject_report(mut report: RaceReport, projection: &Projection) -> RaceRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::DetectorKind;
     use crate::json::render_json;
     use cafa_trace::{DerefKind, ObjId, Pc, Trace, TraceBuilder, VarId};
 
@@ -293,26 +319,35 @@ mod tests {
     #[test]
     fn forced_partition_matches_monolithic_bytes() {
         let trace = island_trace(7);
-        let monolithic = Analyzer::with_config(config(PartitionMode::Off, 1))
-            .analyze(&trace)
-            .unwrap();
-        assert_eq!(monolithic.races.len(), 7);
-        let reference = render_json(&monolithic, &trace);
-        for threads in [1, 2, 8] {
-            let session = AnalysisSession::new(&trace);
-            let report = Analyzer::with_config(config(PartitionMode::Force, threads))
-                .analyze_with(&session)
+        for detector in [DetectorKind::Hb, DetectorKind::Both] {
+            let cfg = |mode, threads| DetectorConfig {
+                detector,
+                ..config(mode, threads)
+            };
+            let monolithic = Analyzer::with_config(cfg(PartitionMode::Off, 1))
+                .analyze(&trace)
                 .unwrap();
-            let stats = report.stats.partition.expect("partitioned path ran");
-            assert_eq!(stats.islands, 7);
-            assert!(stats.batches <= stats.islands);
-            assert_eq!(render_json(&report, &trace), reference);
-            // Every batch built one base, and a model or two on it.
-            let counters = session.stats();
-            assert_eq!(counters.base_builds, stats.batches);
-            assert_eq!(counters.ops_extractions, stats.batches);
-            assert!(counters.model_builds >= stats.batches);
-            assert!(counters.model_builds <= 2 * stats.batches);
+            assert_eq!(monolithic.races.len(), 7);
+            let reference = render_json(&monolithic, &trace);
+            for threads in [1, 2, 8] {
+                let session = AnalysisSession::new(&trace);
+                let report = Analyzer::with_config(cfg(PartitionMode::Force, threads))
+                    .analyze_with(&session)
+                    .unwrap();
+                let stats = report.stats.partition.expect("partitioned path ran");
+                assert_eq!(stats.islands, 7);
+                assert!(stats.batches <= stats.islands);
+                assert_eq!(render_json(&report, &trace), reference, "{detector}");
+                // Both-mode merges every batch's predictive section.
+                let predictive = report.predictive.map(|p| p.races.len());
+                assert_eq!(predictive, detector.runs_predictive().then_some(7));
+                // Every batch built one base, and a model or two on it.
+                let counters = session.stats();
+                assert_eq!(counters.base_builds, stats.batches);
+                assert_eq!(counters.ops_extractions, stats.batches);
+                assert!(counters.model_builds >= stats.batches);
+                assert!(counters.model_builds <= 2 * stats.batches);
+            }
         }
     }
 

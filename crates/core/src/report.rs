@@ -79,15 +79,16 @@ pub struct PredictiveRace {
 /// Counters from the predictive fixpoint and enumeration, mirrored
 /// from `cafa_predict::PredictStats` plus the enumeration's own
 /// counts. No wall times — the JSON rendering stays a pure function
-/// of trace and configuration.
+/// of trace and configuration. On islands `rounds` is the max over
+/// batches and every other counter the sum (see `crate::partition`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictiveStats {
     /// Rounds until the conflict-gated fixpoint converged.
     pub rounds: u32,
     /// Atomicity/queue edges the gated fixpoint materialized.
     pub derived_edges: usize,
-    /// Rule conclusions suppressed by the conflict gate — orderings HB
-    /// keeps that the predictive relation deliberately drops.
+    /// Rule conclusions the conflict gate refuses at the fixpoint —
+    /// orderings HB keeps that the predictive relation drops.
     pub gated: u64,
     /// Conflict-scoped external-input edges (gesture pairs whose
     /// handlers share state).
@@ -105,7 +106,7 @@ pub struct PredictiveStats {
 /// The predictive backend's findings, attached to a [`RaceReport`]
 /// when the detector runs with `--detector both`; `None`
 /// under the default HB backend, keeping its output byte-identical.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PredictiveSection {
     /// Predictively-concurrent races, same (variable, use pc, free pc)
     /// deduplication and ordering discipline as [`RaceReport::races`].

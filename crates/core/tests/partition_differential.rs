@@ -9,10 +9,13 @@
 //! the CI golden-report gates rely on. The paper apps and the tapes
 //! also run with the conventional baseline as the main model, whose
 //! vector clocks are then sized per component of each projected batch.
+//! A scale trace and the tapes also run under `--detector both`; the
+//! paper apps stay out of that sweep (slow in debug builds; `ci.sh`
+//! compares them in release).
 
 use proptest::prelude::*;
 
-use cafa_core::{json::render_json, Analyzer, DetectorConfig, PartitionMode};
+use cafa_core::{json::render_json, Analyzer, DetectorConfig, DetectorKind, PartitionMode};
 use cafa_hb::CausalityConfig;
 use cafa_model::scale::{generate_scale, ScaleConfig};
 use cafa_model::{GenConfig, GeneratedCatalog, SizeClass};
@@ -25,6 +28,14 @@ const SWEEP_THREADS: [usize; 3] = [1, 2, 8];
 fn conventional() -> DetectorConfig {
     DetectorConfig {
         causality: CausalityConfig::conventional(),
+        ..DetectorConfig::cafa()
+    }
+}
+
+/// The HB pipeline plus the predictive backend (`--detector both`).
+fn both_mode() -> DetectorConfig {
+    DetectorConfig {
+        detector: DetectorKind::Both,
         ..DetectorConfig::cafa()
     }
 }
@@ -165,17 +176,39 @@ fn scale_partitioned_equals_monolithic_under_conventional() {
     );
 }
 
+/// A scale trace under `--detector both`: the predictive section,
+/// its fixpoint counters included, is the same on islands as
+/// monolithically, and `Auto` engages (the trace is past the record
+/// threshold).
+#[test]
+fn scale_partitioned_equals_monolithic_in_both_mode() {
+    let app = generate_scale(ScaleConfig::new(42, 10_000));
+    assert_partition_matches_with(&app.trace, "scale:42:10000", both_mode());
+    let auto = DetectorConfig {
+        partition: PartitionMode::Auto,
+        ..both_mode()
+    };
+    let report = Analyzer::with_config(auto)
+        .analyze(&app.trace)
+        .expect("scale traces are acyclic by construction");
+    assert!(report.stats.partition.is_some(), "auto must engage");
+    assert!(report.predictive.is_some_and(|p| p.stats.gated > 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Arbitrary tapes, partitioning forced: byte-identical reports
-    /// (or the identical error) at every sweep worker count.
+    /// (or the identical error) at every sweep worker count, under
+    /// either backend.
     #[test]
     fn arbitrary_traces_partitioned_equals_monolithic(
         tape in proptest::collection::vec(any::<u8>(), 0..400)
     ) {
         let trace = trace_from_tape(&tape);
-        assert_tape_partition_matches(&trace, DetectorConfig::cafa(), &[PartitionMode::Force])?;
+        for base in [DetectorConfig::cafa(), both_mode()] {
+            assert_tape_partition_matches(&trace, base, &[PartitionMode::Force])?;
+        }
     }
 
     /// Arbitrary tapes under the conventional main model: `Auto` and

@@ -151,8 +151,10 @@ pub struct DerivationStats {
     /// side-condition check. The naive loop re-tests every candidate
     /// every round.
     pub instances: u64,
-    /// Conclusions not already implied that the gate of
-    /// [`derive_gated`] refused (0 under [`derive_naive`]).
+    /// Refusals by the gate of [`derive_gated`] in the round that
+    /// converged (0 under [`derive_naive`]): rule instances whose
+    /// premises hold in the gated fixpoint and whose conclusion it does
+    /// not imply. Disjoint islands' counts add up to the whole's.
     pub gated: u64,
     /// Edges added by the atomicity rule.
     pub atomicity_edges: usize,
@@ -598,11 +600,12 @@ pub fn derive_naive(
 /// The naive §3.3 fixpoint of [`derive_naive`], materializing a
 /// conclusion `end(e₁) → begin(e₂)` only when `gate(e₁, e₂)` admits
 /// it. The gate is asked after the already-implied check, so it sees
-/// exactly the conclusions the ungated loop would add; each refusal
-/// counts in [`DerivationStats::gated`] and adds nothing to the working
-/// set. The atomicity rule and queue rules 1/3 ask `(e₁, e_j)` for
-/// the earlier event and the anchor; rules 2/4 ask `(e₂, e₁)`, since
-/// their conclusion runs the front-sent event first.
+/// exactly the conclusions the ungated loop would add; a refusal adds
+/// nothing to the working set, and those of the converged round count
+/// in [`DerivationStats::gated`]. The atomicity rule and queue rules
+/// 1/3 ask `(e₁, e_j)` for the earlier event and the anchor; rules 2/4
+/// ask `(e₂, e₁)`, since their conclusion runs the front-sent event
+/// first.
 ///
 /// A gate that depends only on the pair (not on the graph) keeps every
 /// rule monotone, so the loop still reaches the least fixpoint of the
@@ -665,6 +668,7 @@ pub fn derive_gated(
 
     loop {
         stats.rounds += 1;
+        stats.gated = 0; // only the converged round's refusals count
         if stats.rounds > MAX_ROUNDS {
             let delta = &g.edge_log()[last_delta.0..last_delta.1];
             return Err(HbError::diverged(g, stats.rounds - 1, delta));
@@ -944,28 +948,57 @@ mod tests {
         }
     }
 
-    /// Derivations cascade across rounds: a queue-rule edge enables an
-    /// atomicity edge for another pair.
-    #[test]
-    fn fixpoint_needs_multiple_rounds() {
+    /// Two equal-delay sends order A ≺ B (rule 1). B sends C; then
+    /// atomicity and rule 1 chain C after A transitively. Returns
+    /// (trace, A, B, C).
+    fn cascade() -> (Trace, TaskId, TaskId, TaskId) {
         let mut b = TraceBuilder::new("cascade");
         let p = b.add_process();
         let q = b.add_queue(p);
         let t = b.add_thread(p, "T");
-        // Two equal-delay sends order A ≺ B (rule 1). B sends C; then
-        // atomicity and rule 1 chain C after A transitively.
         let a = b.post(t, q, "A", 0);
         let e = b.post(t, q, "B", 0);
         b.process_event(a);
         b.process_event(e);
         let c = b.post(e, q, "C", 0);
         b.process_event(c);
-        let trace = b.finish().unwrap();
+        (b.finish().unwrap(), a, e, c)
+    }
+
+    /// Derivations cascade across rounds: a queue-rule edge enables an
+    /// atomicity edge for another pair.
+    #[test]
+    fn fixpoint_needs_multiple_rounds() {
+        let (trace, a, e, c) = cascade();
         let (g, stats) = run(&trace);
         assert!(ordered(&g, a, e));
         assert!(ordered(&g, e, c));
         assert!(ordered(&g, a, c));
         assert!(stats.rounds >= 2);
+    }
+
+    /// `gated` counts the refusals of the converged round only, so it
+    /// is a property of the gated fixpoint: rerunning the loop on the
+    /// graph it returned adds nothing, converges in one round and
+    /// counts the same refusals, although the first run took two.
+    #[test]
+    fn gated_counts_the_converged_round() {
+        let (trace, _, e, c) = cascade();
+        let config = CausalityConfig::cafa();
+        let gate = |e1: TaskId, e2: TaskId| (e1, e2) != (e, c);
+        let mut g = base_graph(&trace, &config);
+        let first = derive_gated(&mut g, &trace, &config, gate).unwrap();
+        assert_eq!(first.rounds, 2);
+        assert!(first.derived_edges() >= 1);
+        assert!(first.gated >= 1, "the gate refused B ≺ C");
+        assert!(!ordered(&g, e, c));
+
+        let edges = g.edge_log().len();
+        let again = derive_gated(&mut g, &trace, &config, gate).unwrap();
+        assert_eq!(g.edge_log().len(), edges, "a fixpoint derives nothing");
+        assert_eq!(again.rounds, 1);
+        assert_eq!(again.derived_edges(), 0);
+        assert_eq!(again.gated, first.gated);
     }
 
     /// An empty trace derives nothing and converges immediately.
